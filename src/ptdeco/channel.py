@@ -11,7 +11,7 @@ each Kraus pair with the canonical map, giving left/right families
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,19 +209,16 @@ def build_config(args: argparse.Namespace, base: ScenarioConfig) -> ScenarioConf
     return replace(cfg, **updates)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("PTDECO_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; keep open()'s mode
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -269,12 +267,7 @@ def _header(cmd: str, cfg: ScenarioConfig, extra: list[str] | None = None) -> li
 def cmd_figure1(cfg: ScenarioConfig) -> int:
     _require_unbroken_alphas(cfg)
     table = dephasing.sweep_alpha(
-        cfg.alphas,
-        cfg.times(),
-        cfg.spectral(),
-        cfg.beta,
-        tol=cfg.tol,
-        max_workers=_max_workers(),
+        cfg.alphas, cfg.times(), cfg.spectral(), cfg.beta, tol=cfg.tol
     )
     lines = _header("figure1", cfg)
     lines.append("t," + ",".join(f"D_alpha={_label(a)}" for a in cfg.alphas))

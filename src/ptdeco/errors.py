@@ -53,7 +53,7 @@ class NotDensityMatrix(PtDecoError):
 
 
 class QuadratureFailure(PtDecoError):
-    """The quadrature error estimate did not reach the requested tolerance."""
+    """The a-priori error bound of gamma(t) exceeds the requested tolerance."""
 
 
 class InvalidExponent(PtDecoError):

@@ -15,7 +15,7 @@ similarity transform, so comparisons against closed forms are up to scalar.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -77,3 +77,30 @@ def gamma_trapezoid(
         g = f * p * u ** (p - 1.0)
     g[0] = 0.0
     return float(np.trapezoid(g, u))
+
+
+def gamma_hurwitz_mpmath(t: float, j0: float, mu: float, omega_c: float, beta: float) -> float:
+    """Bath integral from mpmath's Hurwitz zeta at 50 digits.
+
+    ``J0 Gamma(mu) beta^-mu Re[2(zeta(mu, a) - zeta(mu, b)) - (a^-mu - b^-mu)]``
+    with ``a = 1/(beta omega_c)`` and ``b = a - i t/beta``. At the poles
+    mu = 0 (Gamma) and mu = 1 (zeta) it averages mu -+ 1e-30 at 60 digits.
+    """
+    import mpmath
+
+    if t == 0.0:
+        return 0.0
+
+    def at(m):
+        beta_m, t_m = mpmath.mpf(beta), mpmath.mpf(t)
+        a = 1 / (beta_m * mpmath.mpf(omega_c))
+        b = a - 1j * t_m / beta_m
+        bracket = 2 * (mpmath.zeta(m, a) - mpmath.zeta(m, b)) - (a ** (-m) - b ** (-m))
+        return j0 * mpmath.gamma(m) * beta_m ** (-m) * mpmath.re(bracket)
+
+    if mu in (0.0, 1.0):
+        with mpmath.workdps(60):
+            shift = mpmath.mpf("1e-30")
+            return float((at(mu - shift) + at(mu + shift)) / 2)
+    with mpmath.workdps(50):
+        return float(at(mpmath.mpf(mu)))

@@ -82,6 +82,15 @@ class TestFigure1Command:
     def test_broken_alpha_rejected(self, capsys):
         assert run(["figure1", "--alpha", "0.5,1.2"]) == 2
 
+    def test_existing_tmp_file_survives(self, tmp_path):
+        out = tmp_path / "fig1.csv"
+        user_file = tmp_path / "fig1.csv.tmp"
+        user_file.write_text("not ours\n")
+        assert run(["figure1", "--out", str(out), "--n-points", "4"]) == 0
+        assert user_file.read_text() == "not ours\n"
+        assert out.stat().st_mode == user_file.stat().st_mode  # open()'s default mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1.csv", "fig1.csv.tmp"]
+
 
 class TestEvolveCommand:
     def test_maximally_mixed_constant(self, tmp_path):
@@ -210,22 +219,6 @@ class TestEntryPoint:
         )
         assert res.returncode == 0
         assert "classification=Real" in res.stdout
-
-
-class TestThreadCap:
-    def test_threaded_run_is_deterministic(self, tmp_path, monkeypatch):
-        argv = ["figure1", "--n-points", "16", "--t-end", "8.0"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.delenv("PTDECO_THREADS", raising=False)
-        assert run(argv + ["--out", str(a)]) == 0
-        monkeypatch.setenv("PTDECO_THREADS", "4")
-        assert run(argv + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_garbage_env_falls_back_to_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PTDECO_THREADS", "many")
-        out = tmp_path / "c.csv"
-        assert run(["figure1", "--n-points", "4", "--out", str(out)]) == 0
 
 
 class TestCriticalPointRepresentation:
