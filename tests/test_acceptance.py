@@ -253,7 +253,7 @@ def test_criterion_6_conservation():
     for alpha in (0.0, 0.6):
         e1, _ = dephasing.qubit_energies(alpha)
         h_s = e1 * dephasing.SIGMA_X
-        states = oracle.brute_force_dynamics(alpha, bath, 0.5, rho0, times)
+        states, _ = oracle.brute_force_dynamics(alpha, bath, 0.5, rho0, times)
         e0 = np.trace(h_s @ rho0).real
         for rho in states:
             worst_energy = max(worst_energy, abs(np.trace(h_s @ rho).real - e0))
@@ -275,7 +275,7 @@ def test_criterion_7_coupling_rescaling():
     times = np.linspace(0.0, 5.0, 21)
     curves = {}
     for alpha in (0.0, 0.6):
-        states = oracle.brute_force_dynamics(
+        states, _ = oracle.brute_force_dynamics(
             alpha, bath, 0.5, oracle.DEFAULT_INITIAL_STATE, times,
             rescale_coupling=True,
         )

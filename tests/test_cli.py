@@ -91,6 +91,14 @@ class TestFigure1Command:
         assert out.stat().st_mode == user_file.stat().st_mode  # open()'s default mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1.csv", "fig1.csv.tmp"]
 
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "fig1.csv"
+        assert run(["figure1", "--out", str(out), "--n-points", "3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and err[0].startswith(f"config error: cannot write {out}")
+        assert not out.parent.exists()
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEvolveCommand:
     def test_maximally_mixed_constant(self, tmp_path):

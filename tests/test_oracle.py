@@ -7,6 +7,8 @@ from ptdeco import dephasing, oracle
 from ptdeco.dephasing import DephasingModel, SpectralDensity
 from ptdeco.errors import DimensionCap, LengthMismatch, TruncationWarning
 
+from .oracles import expm_series, kron_loops, ptrace_env_loops
+
 pytestmark = pytest.mark.filterwarnings("ignore::ptdeco.errors.TruncationWarning")
 
 WEAK_SPECTRAL = SpectralDensity(j0=0.2, mu=-0.5, omega_c=1.0)
@@ -86,7 +88,7 @@ class TestBruteForceDynamics:
         e1, _ = dephasing.qubit_energies(alpha)
         rho0 = random_density_matrix(rng, 2)
         times = [0.0, 0.9, 2.7]
-        states = oracle.brute_force_dynamics(alpha, bath, 1.0, rho0, times)
+        states, _ = oracle.brute_force_dynamics(alpha, bath, 1.0, rho0, times)
         for t, rho_t in zip(times, states):
             w, v = np.linalg.eigh(e1 * dephasing.SIGMA_X)
             U = (v * np.exp(-1j * w * t)) @ v.conj().T
@@ -95,7 +97,7 @@ class TestBruteForceDynamics:
     def test_critical_point_freezes(self):
         bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=10.0, fock_dim=4)
         rho0 = np.array([[0.5, 0.3 - 0.2j], [0.3 + 0.2j, 0.5]])
-        states = oracle.brute_force_dynamics(1.0, bath, 0.5, rho0, [0.0, 1.0, 4.0])
+        states, _ = oracle.brute_force_dynamics(1.0, bath, 0.5, rho0, [0.0, 1.0, 4.0])
         for rho_t in states:
             np.testing.assert_allclose(rho_t, rho0, atol=1e-12)
 
@@ -105,7 +107,7 @@ class TestBruteForceDynamics:
         e1, _ = dephasing.qubit_energies(alpha)
         rho0 = oracle.DEFAULT_INITIAL_STATE
         times = np.linspace(0.0, 4.0, 9)
-        states = oracle.brute_force_dynamics(alpha, bath, 0.5, rho0, times)
+        states, _ = oracle.brute_force_dynamics(alpha, bath, 0.5, rho0, times)
         h_s = e1 * dephasing.SIGMA_X
         _, v = np.linalg.eigh(h_s)
         pops0 = np.diag(v.conj().T @ rho0 @ v).real
@@ -124,7 +126,7 @@ class TestBruteForceDynamics:
         xs, ys = [], []
         for alpha in (0.0, 0.6):
             e1, _ = dephasing.qubit_energies(alpha)
-            states = oracle.brute_force_dynamics(
+            states, _ = oracle.brute_force_dynamics(
                 alpha, bath, 0.5, oracle.DEFAULT_INITIAL_STATE, times
             )
             c0 = abs(oracle.coherence_sx(oracle.DEFAULT_INITIAL_STATE))
@@ -137,6 +139,25 @@ class TestBruteForceDynamics:
         assert c == pytest.approx(4.0, abs=0.25)
         assert resid <= 1e-2
 
+    def test_convention_constant_converges_to_four(self):
+        # V_S = E1 sx has eigenvalues +-E1; their splitting 2|E1| enters the
+        # exponent squared, so the untruncated decay is exp(-4 E1^2 gamma_N)
+        # and only the Fock truncation keeps the fitted c away from 4
+        times = np.linspace(0.0, 5.0, 21)
+        errs = []
+        for fock in range(4, 10):
+            bath = oracle.discretize_bath(
+                oracle.DEFAULT_SPECTRAL, n_modes=2, omega_max=15.0, fock_dim=fock
+            )
+            reps = [oracle.run_comparison(a, bath, 0.5, times) for a in (0.0, 0.6)]
+            c, _ = oracle.fit_decay_constant(
+                np.concatenate([r.exponents for r in reps]),
+                np.concatenate([r.brute_decoherence for r in reps]),
+            )
+            errs.append(abs(c - 4.0))
+        assert all(a > b for a, b in zip(errs, errs[1:]))
+        assert errs[-1] < 1e-4
+
     def test_dimension_cap(self):
         bath = oracle.DiscreteBath(omegas=[1.0, 2.0, 3.0], gs=[0.1] * 3, fock_dim=13)
         with pytest.raises(DimensionCap):
@@ -145,10 +166,53 @@ class TestBruteForceDynamics:
     def test_diagnostics_tail(self):
         bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=10.0, fock_dim=4)
         _, tail = oracle.brute_force_dynamics(
-            0.0, bath, 0.5, oracle.DEFAULT_INITIAL_STATE, [0.0, 2.0],
-            with_diagnostics=True,
+            0.0, bath, 0.5, oracle.DEFAULT_INITIAL_STATE, [0.0, 2.0]
         )
         assert 0.0 <= tail < 0.05
+
+
+def dense_reference(alpha, bath, beta, rho0, times):
+    """Two-mode bath: loop-built composite, Taylor-series propagator, loop partial trace."""
+    d = bath.fock_dim
+    e1, _ = dephasing.qubit_energies(alpha)
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    eye = np.eye(d)
+    modes = [kron_loops(a, eye), kron_loops(eye, a)]
+    H_B = sum(w * m.conj().T @ m for w, m in zip(bath.omegas, modes))
+    V_B = sum(g * (m + m.conj().T) for g, m in zip(bath.gs, modes))
+    sx = e1 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    h = kron_loops(sx, np.eye(d * d)) + kron_loops(np.eye(2), H_B) + kron_loops(sx, V_B)
+    weights = [np.exp(-beta * w * np.arange(d)) for w in bath.omegas]
+    omega = kron_loops(*(np.diag(p / p.sum()) for p in weights))
+    rho_full = kron_loops(rho0, omega)
+    states = []
+    for t in times:
+        U = expm_series(-1j * t * h)
+        rho_t = U @ rho_full @ U.conj().T
+        states.append(ptrace_env_loops(rho_t, 2, d * d))
+    tail = sum(
+        rho_t[s * d * d + n1 * d + n2, s * d * d + n1 * d + n2].real
+        for s in range(2)
+        for n1 in range(d)
+        for n2 in range(d)
+        if d - 1 in (n1, n2)
+    )
+    return states, tail
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, -0.3, 1.0])
+    def test_matches_loop_reference(self, alpha, rng):
+        from .conftest import random_density_matrix
+
+        bath = oracle.DiscreteBath(omegas=[0.7, 1.9], gs=[0.35, 0.5], fock_dim=3)
+        times = [0.0, 0.8, 2.5]
+        for rho0 in (oracle.DEFAULT_INITIAL_STATE, random_density_matrix(rng, 2)):
+            states, tail = oracle.brute_force_dynamics(alpha, bath, 1.0, rho0, times)
+            ref_states, ref_tail = dense_reference(alpha, bath, 1.0, rho0, times)
+            for rho_t, ref in zip(states, ref_states):
+                np.testing.assert_allclose(rho_t, ref, rtol=0.0, atol=1e-12)
+            assert abs(tail - ref_tail) <= 1e-14
 
 
 class TestFitDecayConstant:
@@ -230,7 +294,7 @@ class TestCouplingRescaling:
         times = np.linspace(0.0, 4.0, 9)
         curves = []
         for alpha in (0.0, 0.6):
-            states = oracle.brute_force_dynamics(
+            states, _ = oracle.brute_force_dynamics(
                 alpha, bath, 0.5, oracle.DEFAULT_INITIAL_STATE, times,
                 rescale_coupling=True,
             )
