@@ -65,14 +65,28 @@ class KrausChannel:
 
     def normalization(self) -> np.ndarray:
         """sum K_i^dag K_i for hermitian kind, sum L_i R_i for PT kind."""
-        acc = np.zeros((self.dim_S, self.dim_S), dtype=complex)
+        ops = _stacked(self)
         if self.kind == "hermitian":
-            for K in self.ops:
-                acc += K.conj().T @ K
-        else:
-            for L, R in self.ops:
-                acc += L @ R
-        return acc
+            return _op_sum(_dagger(ops), ops)
+        return _op_sum(ops[:, 0], ops[:, 1])
+
+
+def _stacked(channel: KrausChannel) -> np.ndarray:
+    """The operators as one array: (k, d, d) for hermitian kind, (k, 2, d, d)
+    of (L, R) pairs for PT kind; k may be 0."""
+    d = channel.dim_S
+    shape = (d, d) if channel.kind == "hermitian" else (2, d, d)
+    return np.array(channel.ops, dtype=complex).reshape(-1, *shape)
+
+
+def _dagger(ops: np.ndarray) -> np.ndarray:
+    return ops.conj().transpose(0, 2, 1)
+
+
+def _op_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum_k A_k @ B_k over stacked (k, d, d) operators, as one matrix product."""
+    k, d, _ = A.shape
+    return A.transpose(1, 0, 2).reshape(d, k * d) @ B.reshape(k * d, d)
 
 
 def _require_hermitian(m: np.ndarray, name: str, tol: float) -> np.ndarray:
@@ -147,28 +161,21 @@ def kraus_extract(
     order = np.argsort(-p, kind="stable")
     p, states = p[order], states[:, order]
 
+    d_S, d_B = model.dim_S, model.dim_B
+    keep = p > weight_cut
+    kets = states[:, keep] * np.sqrt(p[keep])
     U = propagator(model, t)
-    # U as a (s, b, s', b') tensor; contract bath bra/ket vectors.
-    Ut = U.reshape(model.dim_S, model.dim_B, model.dim_S, model.dim_B)
+    # U as a (s, b, s', b') tensor: contract the ket index b' with every kept
+    # sqrt(p_a)|a>, then the bra index b with every <b|.
+    Uk = (U.reshape(-1, d_B) @ kets).reshape(d_S, d_B, d_S, -1)
+    K = states.conj().T @ Uk.transpose(1, 0, 2, 3).reshape(d_B, -1)
+    # (b, s, s', a) -> (a, b, s, s'): descending p_a, then ascending b
+    K = K.reshape(d_B, d_S, d_S, -1).transpose(3, 0, 1, 2).reshape(-1, d_S, d_S)
+    K = K[np.sum(np.abs(K) ** 2, axis=(1, 2)) > weight_cut]
 
-    ops = []
-    for ia in range(model.dim_B):
-        if p[ia] <= weight_cut:
-            continue
-        ket = states[:, ia]
-        block = np.einsum("sbtc,c->sbt", Ut, ket)
-        for ib in range(model.dim_B):
-            bra = states[:, ib].conj()
-            K = np.sqrt(p[ia]) * np.einsum("b,sbt->st", bra, block)
-            if float(np.sum(np.abs(K) ** 2)) > weight_cut:
-                ops.append(K)
-
-    acc = np.zeros((model.dim_S, model.dim_S), dtype=complex)
-    for K in ops:
-        acc += K.conj().T @ K
-    defect = norm2(acc - np.eye(model.dim_S))
+    defect = norm2(_op_sum(_dagger(K), K) - np.eye(d_S))
     return KrausChannel(
-        kind="hermitian", ops=tuple(ops), dim_S=model.dim_S, completeness_defect=defect
+        kind="hermitian", ops=tuple(K), dim_S=d_S, completeness_defect=defect
     )
 
 
@@ -178,16 +185,12 @@ def pt_kraus(channel: KrausChannel, cmap: CanonicalMap) -> KrausChannel:
         raise ValueError("pt_kraus expects a hermitian-kind channel")
     if cmap.T.shape[0] != channel.dim_S:
         raise DimensionMismatch("canonical map dimension does not match channel")
-    T, T_inv = cmap.T, cmap.T_inv
-    pairs = tuple(
-        (T_inv @ K @ T, T_inv @ K.conj().T @ T) for K in channel.ops
-    )
-    acc = np.zeros((channel.dim_S, channel.dim_S), dtype=complex)
-    for L, R in pairs:
-        acc += L @ R
-    defect = norm2(acc - np.eye(channel.dim_S))
+    K = _stacked(channel)
+    L = cmap.T_inv @ K @ cmap.T
+    R = cmap.T_inv @ _dagger(K) @ cmap.T
+    defect = norm2(_op_sum(L, R) - np.eye(channel.dim_S))
     return KrausChannel(
-        kind="pt", ops=pairs, dim_S=channel.dim_S, completeness_defect=defect
+        kind="pt", ops=tuple(zip(L, R)), dim_S=channel.dim_S, completeness_defect=defect
     )
 
 
@@ -198,14 +201,10 @@ def apply_channel(channel: KrausChannel, state) -> np.ndarray:
         raise DimensionMismatch(
             f"state shape {state.shape} != channel dim {channel.dim_S}"
         )
-    out = np.zeros_like(state)
+    ops = _stacked(channel)
     if channel.kind == "hermitian":
-        for K in channel.ops:
-            out += K @ state @ K.conj().T
-    else:
-        for L, R in channel.ops:
-            out += L @ state @ R
-    return out
+        return _op_sum(ops @ state, _dagger(ops))
+    return _op_sum(ops[:, 0] @ state, ops[:, 1])
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
@@ -217,11 +216,9 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
     if channel.kind != "hermitian":
         raise ValueError("Choi test applies to the hermitian representation")
     d = channel.dim_S
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for K in channel.ops:
-        v = K.T.reshape(-1, 1)
-        choi += v @ v.conj().T
-    return choi
+    # row k is the column-stacked vec(K_k)
+    vecs = _stacked(channel).transpose(0, 2, 1).reshape(-1, d * d)
+    return vecs.T @ vecs.conj()
 
 
 def is_completely_positive(channel: KrausChannel, tol: float = 1e-9) -> bool:

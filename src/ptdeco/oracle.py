@@ -115,15 +115,24 @@ def _mode_operator(bath: DiscreteBath, n: int, op: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fock_levels(bath: DiscreteBath) -> np.ndarray:
+    """Occupation number of each mode (rows) in each bath basis state (columns)."""
+    return np.indices((bath.fock_dim,) * bath.n_modes).reshape(bath.n_modes, -1)
+
+
 def bath_operators(bath: DiscreteBath) -> tuple[np.ndarray, np.ndarray]:
-    """(H_B, V_B) = (sum w a^dag a, sum g (a + a^dag)) on the full bath space."""
+    """(H_B, V_B) = (sum w a^dag a, sum g (a + a^dag)) on the full bath space.
+
+    H_B is diagonal in the Fock basis, so it is built from the occupation
+    numbers directly.
+    """
     _require_within_cap(bath)
-    H_B = np.zeros((bath.dim_b, bath.dim_b), dtype=complex)
+    H_B = np.diag(bath.omegas @ _fock_levels(bath)).astype(complex)
+    a = _annihilation(bath.fock_dim)
+    x = a + a.conj().T
     V_B = np.zeros_like(H_B)
     for n in range(bath.n_modes):
-        a = _mode_operator(bath, n, _annihilation(bath.fock_dim))
-        H_B += bath.omegas[n] * (a.conj().T @ a)
-        V_B += bath.gs[n] * (a + a.conj().T)
+        V_B += bath.gs[n] * _mode_operator(bath, n, x)
     return H_B, V_B
 
 
@@ -166,8 +175,7 @@ def thermal_state(
 
 def _top_level_mask(bath: DiscreteBath) -> np.ndarray:
     """Bath basis states with some mode at its top Fock level."""
-    levels = np.indices((bath.fock_dim,) * bath.n_modes).reshape(bath.n_modes, -1)
-    return np.any(levels == bath.fock_dim - 1, axis=0)
+    return np.any(_fock_levels(bath) == bath.fock_dim - 1, axis=0)
 
 
 #: Maps the computational basis to the sigma_x eigenbasis (+, -) and back.

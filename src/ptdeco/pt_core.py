@@ -45,13 +45,18 @@ THETA_SNAP = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class PtHamiltonian:
-    """A (generally non-hermitian) Hamiltonian with its parity operator."""
+    """A (generally non-hermitian) Hamiltonian with its parity operator.
+
+    ``H`` is held as a read-only copy of the input, so the spectral data
+    computed from it once (see :func:`_eigensystem`) cannot go stale.
+    """
 
     H: np.ndarray
     P: np.ndarray
 
     def __post_init__(self):
-        H = as_cmatrix(self.H, "H")
+        H = as_cmatrix(self.H, "H").copy()
+        H.flags.writeable = False
         P = as_cmatrix(self.P, "P")
         n = H.shape[0]
         if H.shape[0] != H.shape[1]:
@@ -64,6 +69,7 @@ class PtHamiltonian:
             raise NotPtSymmetric("parity operator P must square to the identity")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "P", P)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def dim(self) -> int:
@@ -116,10 +122,41 @@ class CanonicalMap:
     condition: float
 
 
+def _scale(ham: PtHamiltonian) -> float:
+    """max(||H||_2, 1), the scale of every relative tolerance on H; computed once."""
+    memo = ham._memo
+    if "scale" not in memo:
+        memo["scale"] = max(norm2(ham.H), 1.0)
+    return memo["scale"]
+
+
+def _eigensystem(ham: PtHamiltonian, tol: float) -> linalg.EigSystem:
+    """``linalg.eig_general(ham.H, tol)``, computed once per tol.
+
+    A :class:`NonDiagonalizable` outcome is memoized too and raised afresh
+    on every call. The arrays of the shared result are read-only.
+    """
+    memo = ham._memo
+    key = ("eig", tol)
+    if key not in memo:
+        try:
+            eig = linalg.eig_general(ham.H, tol)
+        except NonDiagonalizable as exc:
+            memo[key] = exc
+        else:
+            for a in (eig.values, eig.right, eig.left):
+                a.flags.writeable = False
+            memo[key] = eig
+    eig = memo[key]
+    if isinstance(eig, NonDiagonalizable):
+        raise NonDiagonalizable(str(eig))
+    return eig
+
+
 def check_pt_symmetry(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> bool:
     """True iff both P H P = H^dag and conj(H) = H^dag hold within tol*||H||."""
     H, P = ham.H, ham.P
-    scale = max(norm2(H), 1.0)
+    scale = _scale(ham)
     Hd = H.conj().T
     parity_ok = norm2(P @ H @ P - Hd) <= tol * scale
     time_ok = norm2(H.conj() - Hd) <= tol * scale
@@ -129,14 +166,12 @@ def check_pt_symmetry(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> bool:
 def spectrum(ham: PtHamiltonian, eps_spec: float = DEFAULT_EPS_SPEC) -> SpectrumReport:
     """Classify the spectrum as Real, ComplexPairs, or ExceptionalPoint."""
     try:
-        eig = linalg.eig_general(ham.H)
-        values = eig.values
+        values = _eigensystem(ham, DEFAULT_TOL).values.copy()
     except NonDiagonalizable:
         values = np.linalg.eigvals(ham.H)
         order = np.lexsort((values.imag, values.real))
         return SpectrumReport(values[order], PhaseClass.EXCEPTIONAL_POINT)
-    scale = max(norm2(ham.H), 1.0)
-    if float(np.max(np.abs(values.imag))) <= eps_spec * scale:
+    if float(np.max(np.abs(values.imag))) <= eps_spec * _scale(ham):
         cls = PhaseClass.REAL
     else:
         cls = PhaseClass.COMPLEX_PAIRS
@@ -160,9 +195,9 @@ def biorthonormal_basis(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> Biortho
     within ``THETA_SNAP`` of either raises :class:`NotPtSymmetric`.
     """
     _require_unbroken(ham, DEFAULT_EPS_SPEC)
-    eig = linalg.eig_general(ham.H, tol)
-    energies = eig.values.real
-    scale = max(norm2(ham.H), 1.0)
+    eig = _eigensystem(ham, tol)
+    energies = eig.values.real.copy()
+    scale = _scale(ham)
 
     gaps = np.diff(energies)
     if energies.size > 1 and float(np.min(gaps)) <= DEFAULT_EPS_SPEC * scale:
@@ -227,11 +262,12 @@ def canonical_transform(
     """
     _require_unbroken(ham, DEFAULT_EPS_SPEC)
     try:
-        eig = linalg.eig_general(ham.H, tol)
+        eig = _eigensystem(ham, tol)
     except NonDiagonalizable as exc:
         raise ExceptionalPoint(str(exc)) from exc
 
-    V = np.linalg.inv(eig.right)
+    # rows of V are the duals: eig.left is inv(eig.right)^dag
+    V = eig.left.conj().T
     T0 = linalg.mat_sqrt_psd(V.conj().T @ V, tol)
     s, W = np.linalg.eigh(T0)
     if float(s.min()) <= 0.0:
@@ -254,8 +290,7 @@ def hermitian_representation(
 ) -> np.ndarray:
     """h = T H T^{-1}; raises NotHermitian if the defect exceeds tol*||H||."""
     h = cmap.T @ ham.H @ cmap.T_inv
-    scale = max(norm2(ham.H), 1.0)
-    if norm2(h - h.conj().T) > tol * scale:
+    if norm2(h - h.conj().T) > tol * _scale(ham):
         raise NotHermitian(
             "T H T^-1 is not hermitian within tol; T does not match this H"
         )

@@ -104,3 +104,46 @@ def gamma_hurwitz_mpmath(t: float, j0: float, mu: float, omega_c: float, beta: f
             return float((at(mu - shift) + at(mu + shift)) / 2)
     with mpmath.workdps(50):
         return float(at(mpmath.mpf(mu)))
+
+
+def kraus_loops(U: np.ndarray, omega: np.ndarray, dim_s: int, dim_b: int, weight_cut: float) -> list:
+    """K_(b,a) = sqrt(p_a) (I (x) <b|) U (I (x) |a>), one operator at a time.
+
+    |a>, |b> run over the eigenvectors of omega in descending p (ties kept in
+    eigh order), a in the outer loop; sources with p_a <= weight_cut and
+    operators with ||K||_F^2 <= weight_cut are dropped.
+    """
+    p, vecs = np.linalg.eigh((omega + omega.conj().T) / 2.0)
+    order = sorted(range(dim_b), key=lambda i: -p[i])
+    eye = np.eye(dim_s)
+    ops = []
+    for a in order:
+        if p[a] <= weight_cut:
+            continue
+        ket = kron_loops(eye, vecs[:, a].reshape(-1, 1))
+        for b in order:
+            bra = kron_loops(eye, vecs[:, b].conj().reshape(1, -1))
+            K = math.sqrt(p[a]) * (bra @ U @ ket)
+            if sum(abs(x) ** 2 for x in K.ravel()) > weight_cut:
+                ops.append(K)
+    return ops
+
+
+def operator_sum_loops(lefts, rights, state: np.ndarray) -> np.ndarray:
+    """sum_k lefts[k] @ state @ rights[k], accumulated one term at a time."""
+    out = np.zeros(state.shape, dtype=complex)
+    for L, R in zip(lefts, rights):
+        out = out + L @ state @ R
+    return out
+
+
+def choi_loops(ops, dim_s: int) -> np.ndarray:
+    """sum_k |K_k>><<K_k| with the column-stacked vec(K)[j * d + i] = K[i, j]."""
+    d2 = dim_s * dim_s
+    choi = np.zeros((d2, d2), dtype=complex)
+    for K in ops:
+        vec = [K[m % dim_s, m // dim_s] for m in range(d2)]
+        for m in range(d2):
+            for n in range(d2):
+                choi[m, n] += vec[m] * np.conj(vec[n])
+    return choi

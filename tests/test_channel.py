@@ -5,6 +5,7 @@ from ptdeco import channel, pt_core
 from ptdeco.errors import DimensionMismatch, NotDensityMatrix, NotHermitian
 
 from .conftest import random_density_matrix, random_hermitian, random_pt_hamiltonian
+from .oracles import choi_loops, kraus_loops, operator_sum_loops
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -264,3 +265,101 @@ class TestChoi:
         m = small_model(rng, dim_b=3, dephasing=False)
         ch = channel.kraus_extract(m, random_density_matrix(rng, 3), 1.2)
         assert np.trace(channel.choi_matrix(ch)).real == pytest.approx(2.0, abs=1e-10)
+
+
+def batched_case(rng, dim_s, dim_b, diagonal_bath):
+    """PT system, bath and t for the batched-layer checks.
+
+    With ``diagonal_bath`` the bath operators and the bath state are diagonal
+    in one basis and the state has zero weights, so both weight cuts drop
+    operators (every off-diagonal <b|U|a> vanishes).
+    """
+    ham = random_pt_hamiltonian(rng, dim_s)
+    cmap = pt_core.canonical_transform(ham)
+    h_S = pt_core.hermitian_representation(ham, cmap)
+    V_S = random_hermitian(rng, dim_s)
+    if diagonal_bath:
+        H_B = np.diag(rng.normal(size=dim_b))
+        V_B = np.diag(rng.normal(size=dim_b))
+        p = rng.uniform(0.1, 1.0, size=dim_b)
+        p[::3] = 0.0
+        omega = np.diag(p / p.sum()).astype(complex)
+    else:
+        H_B = random_hermitian(rng, dim_b)
+        V_B = random_hermitian(rng, dim_b, 0.3)
+        omega = random_density_matrix(rng, dim_b)
+    model = channel.build_composite(h_S, H_B, V_S, V_B)
+    return model, omega, cmap, 1.3
+
+
+BATCHED_CASES = [
+    (dim_s, dim_b, diagonal)
+    for dim_s, dim_b in ((2, 8), (4, 16))
+    for diagonal in (False, True)
+]
+
+
+class TestBatchedAgainstLoops:
+    @pytest.mark.parametrize("dim_s, dim_b, diagonal_bath", BATCHED_CASES)
+    def test_kraus_layer(self, rng, dim_s, dim_b, diagonal_bath):
+        model, omega, cmap, t = batched_case(rng, dim_s, dim_b, diagonal_bath)
+        U = channel.propagator(model, t)
+        ref = kraus_loops(U, omega, dim_s, dim_b, channel.DEFAULT_WEIGHT_CUT)
+        ch = channel.kraus_extract(model, omega, t)
+        if diagonal_bath:
+            # one operator (b = a) per source of nonzero weight
+            assert len(ref) == np.count_nonzero(np.diag(omega))
+        assert len(ch.ops) == len(ref)
+        for K, K_ref in zip(ch.ops, ref):
+            assert K.shape == (dim_s, dim_s)
+            np.testing.assert_allclose(K, K_ref, rtol=0.0, atol=1e-13)
+
+        pt = channel.pt_kraus(ch, cmap)
+        L_ref = [cmap.T_inv @ K @ cmap.T for K in ref]
+        R_ref = [cmap.T_inv @ K.conj().T @ cmap.T for K in ref]
+        assert len(pt.ops) == len(ref)
+        for (L, R), Lr, Rr in zip(pt.ops, L_ref, R_ref):
+            np.testing.assert_allclose(L, Lr, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(R, Rr, rtol=0.0, atol=1e-13)
+
+        eye = np.eye(dim_s)
+        np.testing.assert_allclose(
+            ch.normalization(),
+            operator_sum_loops([K.conj().T for K in ref], ref, eye),
+            rtol=0.0,
+            atol=1e-13,
+        )
+        np.testing.assert_allclose(
+            pt.normalization(), operator_sum_loops(L_ref, R_ref, eye), rtol=0.0, atol=1e-13
+        )
+
+        rho = random_density_matrix(rng, dim_s)
+        np.testing.assert_allclose(
+            channel.apply_channel(ch, rho),
+            operator_sum_loops(ref, [K.conj().T for K in ref], rho),
+            rtol=0.0,
+            atol=1e-13,
+        )
+        rho_pt = pt_core.map_state_back(rho, cmap)
+        np.testing.assert_allclose(
+            channel.apply_channel(pt, rho_pt),
+            operator_sum_loops(L_ref, R_ref, rho_pt),
+            rtol=0.0,
+            atol=1e-13,
+        )
+        np.testing.assert_allclose(
+            channel.choi_matrix(ch), choi_loops(ref, dim_s), rtol=0.0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("kind", ["hermitian", "pt"])
+    def test_empty_family(self, rng, kind):
+        ch = channel.KrausChannel(kind=kind, ops=(), dim_S=3)
+        out = channel.apply_channel(ch, random_density_matrix(rng, 3))
+        np.testing.assert_array_equal(out, np.zeros((3, 3)))
+        np.testing.assert_array_equal(ch.normalization(), np.zeros((3, 3)))
+        if kind == "hermitian":
+            np.testing.assert_array_equal(channel.choi_matrix(ch), np.zeros((9, 9)))
+            cmap = pt_core.CanonicalMap(T=np.eye(3), T_inv=np.eye(3), condition=1.0)
+            pt = channel.pt_kraus(ch, cmap)
+            assert pt.ops == ()
+            assert pt.completeness_defect == pytest.approx(1.0)

@@ -171,6 +171,30 @@ class TestBruteForceDynamics:
         assert 0.0 <= tail < 0.05
 
 
+class TestBathOperators:
+    @pytest.mark.parametrize(
+        "omegas, gs, fock_dim",
+        [([0.7, 1.9], [0.35, 0.5], 4), ([0.5, 1.5, 2.5], [0.3, 0.2, 0.45], 3)],
+    )
+    def test_matches_kron_loops(self, omegas, gs, fock_dim):
+        bath = oracle.DiscreteBath(omegas=omegas, gs=gs, fock_dim=fock_dim)
+        a = np.diag(np.sqrt(np.arange(1.0, fock_dim)), 1)
+        eye = np.eye(fock_dim)
+        modes = []
+        for n in range(len(omegas)):
+            m = np.ones((1, 1))
+            for k in range(len(omegas)):
+                m = kron_loops(m, a if k == n else eye)
+            modes.append(m)
+        H_ref = sum(w * m.conj().T @ m for w, m in zip(omegas, modes))
+        V_ref = sum(g * (m + m.conj().T) for g, m in zip(gs, modes))
+        H_B, V_B = oracle.bath_operators(bath)
+        assert H_B.shape == V_B.shape == (bath.dim_b, bath.dim_b)
+        np.testing.assert_allclose(H_B, H_ref, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(V_B, V_ref, rtol=0.0, atol=1e-14)
+        assert np.count_nonzero(H_B - np.diag(np.diag(H_B))) == 0
+
+
 def dense_reference(alpha, bath, beta, rho0, times):
     """Two-mode bath: loop-built composite, Taylor-series propagator, loop partial trace."""
     d = bath.fock_dim

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptdeco import pt_core
+from ptdeco import linalg, pt_core
 from ptdeco.errors import (
     BrokenPhase,
     DegenerateSpectrum,
@@ -383,3 +383,83 @@ class TestCanonicalCommutators:
             lhs = T @ (A @ B - B @ A) @ Ti
             a, b = T @ A @ Ti, T @ B @ Ti
             np.testing.assert_allclose(lhs, a @ b - b @ a, atol=1e-12 * np.linalg.norm(lhs, 2) + 1e-12)
+
+
+class TestSpectralMemo:
+    def test_one_eigendecomposition_per_hamiltonian(self, rng, monkeypatch):
+        calls = []
+        eig_general = linalg.eig_general
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eig_general(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eig_general", counting)
+        ham = random_pt_hamiltonian(rng, 4)
+        pt_core.spectrum(ham)
+        pt_core.biorthonormal_basis(ham)
+        pt_core.canonical_transform(ham)
+        assert len(calls) == 1
+
+    def test_caller_mutation_does_not_leak(self, rng):
+        H = random_pt_hamiltonian(rng, 4).H.copy()
+        H0 = H.copy()
+        ham = PtHamiltonian(H=H, P=exchange_parity(4))
+        eigenvalues = pt_core.spectrum(ham).eigenvalues
+        H += 1.0
+        np.testing.assert_array_equal(ham.H, H0)
+        np.testing.assert_array_equal(pt_core.spectrum(ham).eigenvalues, eigenvalues)
+        fresh = PtHamiltonian(H=H0, P=exchange_parity(4))
+        np.testing.assert_array_equal(
+            pt_core.canonical_transform(ham).T, pt_core.canonical_transform(fresh).T
+        )
+
+    def test_h_is_read_only(self):
+        ham = pt_qubit(0.5)
+        with pytest.raises(ValueError):
+            ham.H[0, 0] = 2.0
+
+    def test_exceptional_point_outcome_is_kept(self):
+        ham = pt_qubit(1.0)
+        for _ in range(2):
+            assert pt_core.spectrum(ham).classification is PhaseClass.EXCEPTIONAL_POINT
+        with pytest.raises(ExceptionalPoint):
+            pt_core.canonical_transform(ham)
+        with pytest.raises(ExceptionalPoint):
+            pt_core.biorthonormal_basis(ham)
+
+    def test_returned_arrays_do_not_alias_the_memo(self, rng):
+        ham = random_pt_hamiltonian(rng, 3)
+        expected = spectral_outputs(PtHamiltonian(H=ham.H, P=ham.P))
+        pt_core.spectrum(ham).eigenvalues[:] = 0.0
+        pt_core.biorthonormal_basis(ham).energies[:] = 0.0
+        for got, want in zip(spectral_outputs(ham), expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_memoized_results_match_fresh_instance(self, rng):
+        for i in range(50):
+            ham = random_pt_hamiltonian(rng, 2 + i % 5)
+            first = spectral_outputs(ham)
+            again = spectral_outputs(ham)  # every spectral quantity from the memo
+            fresh = spectral_outputs(PtHamiltonian(H=ham.H, P=ham.P))
+            for a, b, c in zip(again, first, fresh):
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(a, c)
+
+
+def spectral_outputs(ham: PtHamiltonian) -> list:
+    report = pt_core.spectrum(ham)
+    basis = pt_core.biorthonormal_basis(ham)
+    cmap = pt_core.canonical_transform(ham)
+    return [
+        report.eigenvalues,
+        np.array(report.classification.value),
+        basis.energies,
+        basis.psi,
+        basis.phi,
+        basis.theta,
+        cmap.T,
+        cmap.T_inv,
+        np.array(cmap.condition),
+        pt_core.hermitian_representation(ham, cmap),
+    ]
