@@ -1,12 +1,12 @@
 """Composite system-environment dynamics and Kraus channel machinery.
 
 The composite Hamiltonian ``h = h_S (x) I + I (x) H_B + V_S (x) V_B`` is
-assembled in the hermitian representation, evolved unitarily, and reduced
-by the partial trace. Kraus operators are extracted from the propagator in
-the eigenbasis of the initial environment state; the PT variant conjugates
-each Kraus pair with the canonical map, giving left/right families
-``L_i = T^{-1} K_i T``, ``R_i = T^{-1} K_i^dag T`` with
-``sum_i L_i R_i = I``.
+assembled in the hermitian representation, evolved unitarily through its
+eigendecomposition, and reduced by the partial trace. Kraus operators are
+extracted from the propagator in the eigenbasis of the initial environment
+state; the PT variant conjugates each Kraus pair with the canonical map,
+giving left/right families ``L_i = T^{-1} K_i T``,
+``R_i = T^{-1} K_i^dag T`` with ``sum_i L_i R_i = I``.
 """
 
 from __future__ import annotations
@@ -122,10 +122,19 @@ def build_composite(h_S, H_B, V_S, V_B, tol: float = DEFAULT_TOL) -> CompositeMo
 
 
 def propagator(model: CompositeModel, t: float) -> np.ndarray:
-    """U(t) = exp(-i h t) on the composite space."""
+    """U(t) = exp(-i h t) on the composite space, in the spectral form
+    ``V diag(exp(-i w t)) V^dag`` with ``(w, V)`` the eigensystem of the
+    hermitian part of ``h``.
+
+    ``build_composite`` checks every part of ``h`` hermitian within tol, so
+    the hermitian part is ``h`` to that tolerance and ``U`` is unitary to
+    rounding for any finite ``t``.
+    """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    return linalg.mat_exp(-1j * t * model.h_total)
+    h = model.h_total
+    w, V = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return (V * np.exp(-1j * t * w)) @ V.conj().T
 
 
 def reduced_state(model: CompositeModel, varrho0_S, Omega_B, t: float) -> np.ndarray:

@@ -31,6 +31,16 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _fmt_rows(table) -> list[str]:
+    """CSV lines of a 2-D float table, each cell as :func:`_fmt` gives it.
+
+    One ``%`` operation per row: the same bytes as joining ``_fmt`` cells.
+    """
+    table = np.asarray(table, dtype=float)
+    row_fmt = ",".join(["%.17g"] * table.shape[1])
+    return [row_fmt % tuple(row) for row in table.tolist()]
+
+
 def _label(x: float) -> str:
     """Shortest round-trip form, for header labels."""
     return repr(float(x))
@@ -274,9 +284,7 @@ def cmd_figure1(cfg: ScenarioConfig) -> int:
     )
     lines = _header("figure1", cfg)
     lines.append("t," + ",".join(f"D_alpha={_label(a)}" for a in cfg.alphas))
-    for i, t in enumerate(table.times):
-        row = [_fmt(t)] + [_fmt(d) for d in table.decoherence[i]]
-        lines.append(",".join(row))
+    lines.extend(_fmt_rows(np.column_stack((table.times, table.decoherence))))
     out = cfg.out or "figure1.csv"
     _write_atomic(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
@@ -315,8 +323,7 @@ def cmd_evolve(cfg: ScenarioConfig) -> int:
             f"rho{i}{j}_{part}" for i in (1, 2) for j in (1, 2) for part in ("re", "im")
         )
     )
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(_fmt_rows(rows))
     out = cfg.out or "evolve.csv"
     _write_atomic(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")

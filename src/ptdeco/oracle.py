@@ -54,9 +54,12 @@ class DiscreteBath:
         gs = np.asarray(self.gs, dtype=float)
         if omegas.ndim != 1 or omegas.shape != gs.shape:
             raise LengthMismatch("omegas and gs must be 1-D and aligned")
-        if np.any(omegas <= 0.0):
+        if not np.all(omegas > 0.0):
             raise ValueError("mode frequencies must be positive")
-        if np.unique(omegas).size != omegas.size:
+        # Sorted neighbours rather than np.unique, whose first call imports
+        # numpy.ma (about 10 ms) inside every oracle-compare run.
+        ordered = np.sort(omegas)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("mode frequencies must be distinct")
         if self.fock_dim < 2:
             raise ValueError("fock_dim must be >= 2")

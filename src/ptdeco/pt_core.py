@@ -65,7 +65,8 @@ class PtHamiltonian:
             raise DimensionMismatch(f"P shape {P.shape} does not match H {H.shape}")
         if not linalg.is_hermitian(P):
             raise NotHermitian("parity operator P must be hermitian")
-        if norm2(P @ P - np.eye(n)) > DEFAULT_TOL * max(norm2(P) ** 2, 1.0):
+        defect = P @ P - np.eye(n)
+        if defect.any() and norm2(defect) > DEFAULT_TOL * max(norm2(P) ** 2, 1.0):
             raise NotPtSymmetric("parity operator P must square to the identity")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "P", P)
@@ -310,7 +311,9 @@ def require_density_matrix(rho, tol: float = DEFAULT_TOL, name: str = "state") -
     rho = as_cmatrix(rho, name)
     if rho.shape[0] != rho.shape[1]:
         raise NotDensityMatrix(f"{name} must be square, got {rho.shape}")
-    if norm2(rho - rho.conj().T) > tol * max(norm2(rho), 1.0):
+    # An exactly zero defect passes any tolerance; skip both SVDs.
+    defect = rho - rho.conj().T
+    if defect.any() and norm2(defect) > tol * max(norm2(rho), 1.0):
         raise NotDensityMatrix(f"{name} is not hermitian within tol")
     if abs(complex(np.trace(rho)).real - 1.0) > max(tol, 1e-12):
         raise NotDensityMatrix(f"{name} trace {complex(np.trace(rho)):.6g} != 1")

@@ -48,6 +48,20 @@ def random_hermitian(rng, dim: int, scale: float = 1.0) -> np.ndarray:
     return scale * (G + G.conj().T) / 2.0
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so each call appends its first argument's shape
+    to the returned list."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -5,7 +5,7 @@ from ptdeco import channel, pt_core
 from ptdeco.errors import DimensionMismatch, NotDensityMatrix, NotHermitian
 
 from .conftest import random_density_matrix, random_hermitian, random_pt_hamiltonian
-from .oracles import choi_loops, kraus_loops, operator_sum_loops
+from .oracles import choi_loops, expm_series, kraus_loops, operator_sum_loops
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -60,6 +60,14 @@ class TestPropagator:
         m = channel.build_composite(SZ, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
         U = channel.propagator(m, np.pi / 2)
         np.testing.assert_allclose(U, np.diag([-1j, -1j, 1j, 1j]), atol=1e-14)
+
+    @pytest.mark.parametrize("dim_s, dim_b", [(2, 3), (3, 4)])
+    @pytest.mark.parametrize("t", [0.3, 2.7, -1.3])
+    def test_against_series_reference(self, rng, dim_s, dim_b, t):
+        m = small_model(rng, dim_s, dim_b, dephasing=False)
+        np.testing.assert_allclose(
+            channel.propagator(m, t), expm_series(-1j * t * m.h_total), atol=1e-11
+        )
 
 
 class TestReducedState:

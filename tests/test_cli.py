@@ -228,6 +228,27 @@ class TestEntryPoint:
         assert res.returncode == 0
         assert "classification=Real" in res.stdout
 
+    def test_import_loads_no_scipy(self):
+        import subprocess
+
+        code = (
+            "import ptdeco, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
+
+class TestRowFormatting:
+    def test_rows_match_per_cell_format(self, rng):
+        special = [-0.0, 5e-324, 1e308, 0.1, 1 / 3, 2.0]
+        random_row = list(rng.normal(size=6) * 10.0 ** rng.integers(-300, 300, size=6))
+        table = [special, random_row]
+        expected = [",".join(cli._fmt(v) for v in row) for row in table]
+        assert cli._fmt_rows(table) == expected
+        assert expected[0] == "-0,4.9406564584124654e-324,1e+308,0.10000000000000001,0.33333333333333331,2"
+
 
 class TestCriticalPointRepresentation:
     def test_pt_representation_rejected_at_alpha_one(self, capsys):

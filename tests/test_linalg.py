@@ -10,8 +10,8 @@ from ptdeco.errors import (
     NotHermitian,
 )
 
-from .conftest import random_hermitian
-from .oracles import expm_series, kron_loops, ptrace_env_loops
+from .conftest import count_calls, random_hermitian
+from .oracles import kron_loops, ptrace_env_loops
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -69,31 +69,6 @@ class TestEigGeneral:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             linalg.eig_general(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestMatExp:
-    def test_zero_matrix(self):
-        np.testing.assert_allclose(linalg.mat_exp(np.zeros((3, 3))), np.eye(3))
-
-    def test_pauli_rotation(self):
-        U = linalg.mat_exp(-1j * np.pi / 2 * SX)
-        np.testing.assert_allclose(U, -1j * SX, atol=1e-14)
-
-    def test_diagonal(self):
-        out = linalg.mat_exp(np.diag([1.0, 2.0]).astype(complex))
-        np.testing.assert_allclose(out, np.diag([np.e, np.e**2]), rtol=1e-14)
-
-    def test_inverse_property(self, rng):
-        for _ in range(10):
-            A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            A *= 5.0 / np.linalg.norm(A, 2)
-            prod = linalg.mat_exp(A) @ linalg.mat_exp(-A)
-            assert np.linalg.norm(prod - np.eye(5), 2) <= 1e-10
-
-    def test_against_series_reference(self, rng):
-        for _ in range(5):
-            A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            np.testing.assert_allclose(linalg.mat_exp(A), expm_series(A), atol=1e-11)
 
 
 class TestMatSqrtPsd:
@@ -213,11 +188,19 @@ class TestPartialTraceEnv:
             linalg.partial_trace_env(np.eye(5), 2, 3)
 
 
-class TestEdgeContracts:
-    def test_mat_exp_overflow(self):
-        with pytest.raises(OverflowError):
-            linalg.mat_exp(np.diag([800.0, 0.0]))
+class TestIsHermitian:
+    def test_decisions_and_exact_shortcut(self, rng, monkeypatch):
+        calls = count_calls(monkeypatch, linalg, "norm2")
+        h = random_hermitian(rng, 4)
+        skew = 1j * random_hermitian(rng, 4)
+        assert linalg.is_hermitian(h)
+        assert calls == []
+        assert linalg.is_hermitian(h + 1e-13 * skew)
+        assert len(calls) == 2
+        assert not linalg.is_hermitian(h + 1e-3 * skew)
 
+
+class TestEdgeContracts:
     def test_right_vectors_unit_norm(self, rng):
         A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         eig = linalg.eig_general(A)

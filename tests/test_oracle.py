@@ -48,6 +48,13 @@ class TestDiscretizeBath:
         assert np.all(bath.omegas > 0)
         assert np.unique(bath.omegas).size == 5
 
+    @pytest.mark.parametrize(
+        "omegas", [[1.0, 2.0, 1.0], [np.inf, 1.0, np.inf], [0.0, 1.0], [-1.0], [np.nan]]
+    )
+    def test_rejects_repeated_or_non_positive_modes(self, omegas):
+        with pytest.raises(ValueError):
+            oracle.DiscreteBath(omegas=omegas, gs=[0.1] * len(omegas), fock_dim=3)
+
 
 class TestThermalState:
     def test_ground_state_at_infinite_beta(self):

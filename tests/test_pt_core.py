@@ -14,7 +14,13 @@ from ptdeco.errors import (
 )
 from ptdeco.pt_core import PhaseClass, PtHamiltonian
 
-from .conftest import exchange_parity, random_density_matrix, random_hermitian, random_pt_hamiltonian
+from .conftest import (
+    count_calls,
+    exchange_parity,
+    random_density_matrix,
+    random_hermitian,
+    random_pt_hamiltonian,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -463,3 +469,28 @@ def spectral_outputs(ham: PtHamiltonian) -> list:
         np.array(cmap.condition),
         pt_core.hermitian_representation(ham, cmap),
     ]
+
+
+class TestExactDefectSkipsNorms:
+    """An exactly zero hermiticity or parity defect needs no 2-norm; any
+    other defect is measured and judged against the same tolerance."""
+
+    def test_density_matrix(self, monkeypatch):
+        calls = count_calls(monkeypatch, pt_core, "norm2")
+        rho = np.array([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]])
+        pt_core.require_density_matrix(rho)
+        assert calls == []
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+        pt_core.require_density_matrix(rho + 1e-13 * skew)
+        assert len(calls) == 2
+        with pytest.raises(NotDensityMatrix):
+            pt_core.require_density_matrix(rho + 1e-3 * skew)
+
+    def test_parity_involution(self, monkeypatch):
+        calls = count_calls(monkeypatch, pt_core, "norm2")
+        PtHamiltonian(H=SZ, P=SX)
+        assert calls == []
+        PtHamiltonian(H=SZ, P=(1.0 + 1e-12) * SX)
+        assert len(calls) == 2
+        with pytest.raises(NotPtSymmetric):
+            PtHamiltonian(H=SZ, P=1.001 * SX)
