@@ -86,17 +86,12 @@ class EigSystem:
 def _gauge_columns(vecs: np.ndarray) -> np.ndarray:
     """Unit-normalize columns and make the largest-modulus component real
     positive (first occurrence wins), for deterministic output."""
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        v = out[:, k]
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            raise NonDiagonalizable(f"zero eigenvector column {k}")
-        v = v / nrm
-        j = int(np.argmax(np.abs(v)))
-        phase = v[j] / abs(v[j])
-        out[:, k] = v / phase
-    return out
+    nrm = np.linalg.norm(vecs, axis=0)
+    if not nrm.all():
+        raise NonDiagonalizable(f"zero eigenvector column {int(np.argmin(nrm))}")
+    v = vecs / nrm
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return v / (pivot / np.abs(pivot))
 
 
 def eig_general(A, tol: float = DEFAULT_TOL) -> EigSystem:

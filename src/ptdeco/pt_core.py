@@ -206,37 +206,38 @@ def biorthonormal_basis(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> Biortho
             f"minimal level spacing {float(np.min(gaps)):.3e} is degenerate"
         )
 
-    psi = eig.right.copy()
-    phi = eig.left.copy()
-    P = ham.P
-    theta = np.empty(energies.size)
-    for n in range(energies.size):
-        c = psi[:, n].conj() @ P @ psi[:, n]
-        if abs(c.imag) > THETA_SNAP * max(abs(c), 1.0) or abs(c) <= tol:
-            raise NotPtSymmetric(
-                f"<psi_{n}|P|psi_{n}> = {c:.3e} is not real and nonzero"
-            )
-        w = abs(c.real)
-        psi[:, n] /= np.sqrt(w)
-        phi[:, n] *= np.sqrt(w)
-        ovl = phi[:, n].conj() @ P @ psi[:, n]
-        ang = float(np.angle(ovl)) % (2.0 * np.pi)
-        if min(ang, 2.0 * np.pi - ang) <= THETA_SNAP:
-            theta[n] = 0.0
-        elif abs(ang - np.pi) <= THETA_SNAP:
-            theta[n] = np.pi
-        else:
-            raise NotPtSymmetric(
-                f"phase of <phi_{n}|P|psi_{n}> = {ang:.6f} is neither 0 nor pi"
-            )
-        # the phase alone does not certify the parity relation; require the
-        # full vector identity P psi_n = exp(i theta_n) phi_n
-        resid = np.linalg.norm(P @ psi[:, n] - np.exp(1j * theta[n]) * phi[:, n])
-        if resid > THETA_SNAP * (1.0 + np.linalg.norm(phi[:, n])):
-            raise NotPtSymmetric(
-                f"P psi_{n} deviates from exp(i theta) phi_{n} by {resid:.3e}; "
-                "P is not a parity for this Hamiltonian"
-            )
+    Ppsi = ham.P @ eig.right
+    c = np.einsum("in,in->n", eig.right.conj(), Ppsi)
+    mod = np.abs(c)
+    bad = (np.abs(c.imag) > THETA_SNAP * np.maximum(mod, 1.0)) | (mod <= tol)
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise NotPtSymmetric(
+            f"<psi_{n}|P|psi_{n}> = {c[n]:.3e} is not real and nonzero"
+        )
+    w = np.sqrt(np.abs(c.real))
+    psi = eig.right / w
+    phi = eig.left * w
+    Ppsi /= w
+    ang = np.angle(np.einsum("in,in->n", phi.conj(), Ppsi)) % (2.0 * np.pi)
+    k = np.rint(ang / np.pi)  # nearest of 0, pi, 2 pi
+    bad = np.abs(ang - k * np.pi) > THETA_SNAP
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise NotPtSymmetric(
+            f"phase of <phi_{n}|P|psi_{n}> = {ang[n]:.6f} is neither 0 nor pi"
+        )
+    theta = np.pi * (k % 2.0)
+    # the phase alone does not certify the parity relation; require the
+    # full vector identity P psi_n = exp(i theta_n) phi_n
+    resid = np.linalg.norm(Ppsi - np.exp(1j * theta) * phi, axis=0)
+    bad = resid > THETA_SNAP * (1.0 + np.linalg.norm(phi, axis=0))
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise NotPtSymmetric(
+            f"P psi_{n} deviates from exp(i theta) phi_{n} by {resid[n]:.3e}; "
+            "P is not a parity for this Hamiltonian"
+        )
     return BiorthoSystem(energies=energies, psi=psi, phi=phi, theta=theta)
 
 
@@ -267,12 +268,11 @@ def canonical_transform(
     except NonDiagonalizable as exc:
         raise ExceptionalPoint(str(exc)) from exc
 
-    # rows of V are the duals: eig.left is inv(eig.right)^dag
-    V = eig.left.conj().T
-    T0 = linalg.mat_sqrt_psd(V.conj().T @ V, tol)
-    s, W = np.linalg.eigh(T0)
-    if float(s.min()) <= 0.0:
+    # V^dag V = eig.left eig.left^dag; its one eigh gives T, T^-1 and the condition
+    w, W = np.linalg.eigh(eig.left @ eig.left.conj().T)
+    if float(w.min()) <= 0.0:
         raise ExceptionalPoint("canonical transform is singular")
+    s = np.sqrt(w)
     condition = float(s.max() / s.min())
     if condition > cond_cap:
         raise IllConditioned(
@@ -280,8 +280,9 @@ def canonical_transform(
             "(exceptional-point proximity)"
         )
     gm = float(np.exp(np.mean(np.log(s))))
-    T = T0 / gm
+    T = (W * (s / gm)) @ W.conj().T
     T_inv = (W * (gm / s)) @ W.conj().T
+    T = (T + T.conj().T) / 2.0
     T_inv = (T_inv + T_inv.conj().T) / 2.0
     return CanonicalMap(T=T, T_inv=T_inv, condition=condition)
 
@@ -289,13 +290,14 @@ def canonical_transform(
 def hermitian_representation(
     ham: PtHamiltonian, cmap: CanonicalMap, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
-    """h = T H T^{-1}; raises NotHermitian if the defect exceeds tol*||H||."""
+    """h = T H T^{-1}, returned as its exact hermitian part (h + h^dag)/2;
+    raises NotHermitian if the defect exceeds tol*||H||."""
     h = cmap.T @ ham.H @ cmap.T_inv
     if norm2(h - h.conj().T) > tol * _scale(ham):
         raise NotHermitian(
             "T H T^-1 is not hermitian within tol; T does not match this H"
         )
-    return h
+    return (h + h.conj().T) / 2.0
 
 
 def map_observable(O, cmap: CanonicalMap) -> np.ndarray:

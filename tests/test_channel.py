@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from ptdeco import channel, pt_core
+from ptdeco import channel, linalg, pt_core
 from ptdeco.errors import DimensionMismatch, NotDensityMatrix, NotHermitian
 
-from .conftest import random_density_matrix, random_hermitian, random_pt_hamiltonian
+from .conftest import (
+    count_calls,
+    random_density_matrix,
+    random_hermitian,
+    random_pt_hamiltonian,
+)
 from .oracles import choi_loops, expm_series, kraus_loops, operator_sum_loops
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -38,6 +43,49 @@ class TestBuildComposite:
     def test_rejects_mismatched_dims(self, rng):
         with pytest.raises(DimensionMismatch):
             channel.build_composite(SZ, SZ, np.eye(3), SZ)
+
+    @pytest.mark.parametrize("dim_s, dim_b", [(2, 8), (4, 32)])
+    def test_norms_are_factor_sized(self, rng, monkeypatch, dim_s, dim_b):
+        here = count_calls(monkeypatch, channel, "norm2")
+        inside = count_calls(monkeypatch, linalg, "norm2")  # is_hermitian's
+        for dephasing in (True, False):
+            small_model(rng, dim_s, dim_b, dephasing)
+        assert here
+        assert max(max(shape) for shape in here + inside) <= max(dim_s, dim_b)
+
+    def test_dephasing_flag_matches_composite_space_test(self, rng):
+        # kinds: commuting, non-commuting, and a commuting V_S pushed off by
+        # a commutator at 0.1x and at 10x the tolerance of the composite test
+        tol, norm = channel.DEFAULT_TOL, np.linalg.norm
+        for i in range(60):
+            dim_s, dim_b = rng.integers(2, 5), rng.integers(1, 7)
+            h_S = random_hermitian(rng, dim_s, 10.0 ** rng.uniform(-3, 3))
+            V_B = random_hermitian(rng, dim_b, 10.0 ** rng.uniform(-3, 3))
+            c = rng.normal(size=3)  # a real polynomial in h_S commutes with it
+            V_S = c[0] * np.eye(dim_s) + c[1] * h_S + c[2] * h_S @ h_S
+            V_S = (V_S + V_S.conj().T) / 2.0
+            X = random_hermitian(rng, dim_s)
+            kind = i % 4
+            if kind == 1:
+                V_S = X * 10.0 ** rng.uniform(-3, 3)
+            elif kind > 1:
+                target = 0.1 if kind == 2 else 10.0
+                scale = max(norm(h_S, 2) * max(norm(V_S, 2) * norm(V_B, 2), 1.0), 1.0)
+                size = norm(h_S @ X - X @ h_S, 2) * norm(V_B, 2)
+                V_S = V_S + target * tol * scale / size * X
+            model = channel.build_composite(h_S, random_hermitian(rng, dim_b), V_S, V_B)
+            assert model.dephasing == composite_space_dephasing(h_S, V_S, V_B)
+            assert model.dephasing == (kind in (0, 2))
+
+
+def composite_space_dephasing(h_S, V_S, V_B, tol=channel.DEFAULT_TOL):
+    """||[h_S (x) I, V_S (x) V_B]|| <= tol * max(||h_S (x) I|| max(||h_I||, 1), 1),
+    evaluated on the composite space."""
+    hs_full = np.kron(h_S, np.eye(V_B.shape[0]))
+    h_I = np.kron(V_S, V_B)
+    comm = hs_full @ h_I - h_I @ hs_full
+    norm = np.linalg.norm
+    return norm(comm, 2) <= tol * max(norm(hs_full, 2) * max(norm(h_I, 2), 1.0), 1.0)
 
 
 class TestPropagator:

@@ -1,0 +1,109 @@
+"""Property checks of gamma(t) and D(t) over the documented domain.
+
+The domain is mu in (-1, 8], beta in [1e-3, 1e3], t in [0, 1e6] and
+|alpha| <= 1. Examples are derandomized, so every run draws the same inputs.
+"""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ptdeco import dephasing  # noqa: E402
+from ptdeco.dephasing import DephasingModel, SpectralDensity  # noqa: E402
+from ptdeco.errors import QuadratureFailure  # noqa: E402
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+#: Below mu = -1 + 1e-3 the a-priori bound of the closed form carries a
+#: 1/(1 + mu) rounding factor and may exceed tol; a QuadratureFailure is the
+#: documented outcome there and nowhere else.
+MU_FAILURE_ZONE = 1e-3
+
+mus = st.floats(-1.0, 8.0, exclude_min=True)
+betas = st.floats(1e-3, 1e3)
+times = st.floats(0.0, 1e6)
+alphas = st.floats(-1.0, 1.0)
+
+
+def model(mu: float, beta: float, alpha: float = 0.0, j0: float = 1.0) -> DephasingModel:
+    return DephasingModel(alpha=alpha, beta=beta, spectral=SpectralDensity(j0, mu, 1.0))
+
+
+def gamma_or_none(mu: float, beta: float, t: float):
+    """gamma(t), or None where the documented QuadratureFailure is raised."""
+    try:
+        return dephasing.gamma_integral(model(mu, beta), t).value
+    except QuadratureFailure:
+        assert 1.0 + mu < MU_FAILURE_ZONE
+        return None
+
+
+def small_t_coefficient(mu: float, beta: float) -> float:
+    """lim gamma(t)/t^2 = (1/2) int J(w) coth(beta w / 2) dw at J0 = w_c = 1,
+    from mpmath's Hurwitz zeta: (Gamma(s)/2) (2 zeta(s, 1/beta) / beta^s - 1)
+    with s = 2 + mu."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        s, b = mpmath.mpf(2.0 + mu), mpmath.mpf(beta)
+        return float(mpmath.gamma(s) / 2 * (2 * mpmath.zeta(s, 1 / b) / b**s - 1))
+
+
+@SETTINGS
+@given(mu=mus, beta=betas, t=times)
+def test_gamma_is_nonnegative(mu, beta, t):
+    gamma = gamma_or_none(mu, beta, t)
+    assert gamma is None or gamma >= 0.0
+
+
+@SETTINGS
+@given(mu=mus, beta=betas, t=times, alpha=alphas)
+def test_decoherence_function_is_a_damping(mu, beta, t, alpha):
+    # D = 0 is allowed: exp underflows once E1^2 gamma exceeds ~745
+    if gamma_or_none(mu, beta, t) is None:
+        return
+    assert 0.0 <= dephasing.decoherence_function(model(mu, beta, alpha), t) <= 1.0
+
+
+@SETTINGS
+@given(mu=mus, beta=betas, t=times, a=alphas, b=alphas)
+def test_decoherence_function_ordered_in_alpha(mu, beta, t, a, b):
+    # E1^2 = 1 - alpha^2 falls with |alpha|, so D rises with it
+    if gamma_or_none(mu, beta, t) is None:
+        return
+    a, b = sorted((a, b), key=abs)
+    d_a = dephasing.decoherence_function(model(mu, beta, a), t)
+    d_b = dephasing.decoherence_function(model(mu, beta, b), t)
+    assert d_a <= d_b
+
+
+@SETTINGS
+@given(mu=mus, beta=betas, log_t=st.floats(-9.0, -4.0))
+def test_gamma_grows_quadratically_at_small_t(mu, beta, log_t):
+    # the next term is O(t^2 <w^4>/<w^2>), below 1e-7 relative at t <= 1e-4
+    t = 10.0**log_t
+    gamma = gamma_or_none(mu, beta, t)
+    if gamma is None:
+        return
+    assert gamma / t**2 == pytest.approx(small_t_coefficient(mu, beta), rel=1e-6)
+
+
+@SETTINGS
+@given(j0=st.floats(0.1, 10.0), beta=betas, x=st.floats(0.0, 1.0))
+def test_ohmic_slope(j0, beta, x):
+    # mu = 0: gamma(t) -> pi J0 t / beta + O(log t), so the secant slope on
+    # [t, 2t] approaches the exponent of ohmic_asymptote for t >> beta, 1/w_c
+    lo = 100.0 * max(beta, 1.0)
+    t = lo * (5e5 / lo) ** x
+    ohmic = model(0.0, beta, j0=j0)
+    slope = (
+        dephasing.gamma_integral(ohmic, 2.0 * t).value
+        - dephasing.gamma_integral(ohmic, t).value
+    ) / t
+    # the asymptote's exponent at time beta is pi J0, so it cannot underflow
+    expected = -math.log(dephasing.ohmic_asymptote(0.0, j0, beta, beta)) / beta
+    assert slope == pytest.approx(expected, rel=1e-2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptdeco import linalg, pt_core
+from ptdeco import dephasing, linalg, pt_core
 from ptdeco.errors import (
     BrokenPhase,
     DegenerateSpectrum,
@@ -152,6 +152,19 @@ class TestBiorthonormalBasis:
         with pytest.raises(NotPtSymmetric):
             pt_core.biorthonormal_basis(PtHamiltonian(H=H, P=SZ))
 
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_parity_residual_names_the_failing_column(self, column):
+        # P fixes e_0 .. e_{column-1} up to sign but reflects e_column into
+        # e_{column+1}: every <psi_n|P|psi_n> is real and nonzero and every
+        # phase snaps to 0 or pi, so only the vector residual fails, first
+        # at `column`
+        dim = column + 2
+        P = np.diag([(-1.0) ** k for k in range(dim)]).astype(complex)
+        P[column:, column:] = [[0.6, 0.8], [0.8, -0.6]]
+        ham = PtHamiltonian(H=np.diag(np.arange(1.0, dim + 1.0)), P=P)
+        with pytest.raises(NotPtSymmetric, match=rf"^P psi_{column} deviates"):
+            pt_core.biorthonormal_basis(ham)
+
 
 class TestChargeConjugation:
     def test_hermitian_identity_parity(self):
@@ -247,6 +260,46 @@ class TestCanonicalTransform:
             pass
 
 
+class TestExceptionalPointProbe:
+    """The PT qubit approaching alpha = 1, against the closed form.
+
+    The det(T) = 1 gauge makes T itself diverge there while the closed form
+    tends to the singular [[1, -i], [i, 1]], so the metrics T^dag T are
+    compared up to a scalar, not the two T.
+    """
+
+    EPSILONS = (1e-4, 1e-8, 1e-12)
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_condition_grows_as_inverse_root_distance(self, eps):
+        cmap = pt_core.canonical_transform(pt_qubit(1.0 - eps))
+        assert cmap.condition * np.sqrt(eps) == pytest.approx(np.sqrt(2.0), rel=1e-2)
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_metric_matches_closed_form_up_to_scalar(self, eps):
+        alpha = 1.0 - eps
+        T = pt_core.canonical_transform(pt_qubit(alpha)).T
+        closed = dephasing.qubit_transform(alpha).T
+        metric, closed_metric = T.conj().T @ T, closed.conj().T @ closed
+        np.testing.assert_allclose(
+            metric / np.trace(metric).real,
+            closed_metric / np.trace(closed_metric).real,
+            rtol=0.0,
+            atol=1e-13,
+        )
+
+    def test_hermitian_spectrum_closest_to_the_point(self):
+        alpha = 1.0 - 1e-12
+        ham = pt_qubit(alpha)
+        h = pt_core.hermitian_representation(ham, pt_core.canonical_transform(ham))
+        e1, e2 = dephasing.qubit_energies(alpha)
+        np.testing.assert_allclose(np.linalg.eigvalsh(h), [e1, e2], rtol=0.0, atol=1e-11)
+
+    def test_at_the_point(self):
+        with pytest.raises(ExceptionalPoint):
+            pt_core.canonical_transform(pt_qubit(1.0))
+
+
 class TestHermitianRepresentation:
     def test_qubit_gives_e1_sigma_x_up_to_basis_gauge(self):
         # The similarity by the closed-form T lands on |E1| sigma_x, which is
@@ -296,6 +349,12 @@ class TestHermitianRepresentation:
         bad = pt_core.canonical_transform(pt_qubit(0.9))
         with pytest.raises(NotHermitian):
             pt_core.hermitian_representation(ham, bad)
+
+    def test_returns_exactly_hermitian_matrix(self, rng):
+        hams = [pt_qubit(0.5)] + [random_pt_hamiltonian(rng, dim) for dim in (3, 4, 6)]
+        for ham in hams:
+            h = pt_core.hermitian_representation(ham, pt_core.canonical_transform(ham))
+            assert np.array_equal(h, h.conj().T)
 
 
 class TestMapObservable:
@@ -406,6 +465,15 @@ class TestSpectralMemo:
         pt_core.biorthonormal_basis(ham)
         pt_core.canonical_transform(ham)
         assert len(calls) == 1
+
+    def test_canonical_transform_factorizes_the_metric_once(self, rng, monkeypatch):
+        ham = random_pt_hamiltonian(rng, 4)
+        pt_core.spectrum(ham)  # memoize the eigensystem first
+        eighs = count_calls(monkeypatch, np.linalg, "eigh")
+        roots = count_calls(monkeypatch, linalg, "mat_sqrt_psd")
+        pt_core.canonical_transform(ham)
+        assert eighs == [(4, 4)]
+        assert roots == []
 
     def test_caller_mutation_does_not_leak(self, rng):
         H = random_pt_hamiltonian(rng, 4).H.copy()
