@@ -12,6 +12,7 @@ All outputs use hbar = 1.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -78,8 +79,34 @@ class ScenarioConfig:
             raise ConfigError("need t_end > t_start >= 0")
         return np.linspace(self.t_start, self.t_end, self.n_points)
 
-    def spectral(self) -> dephasing.SpectralDensity:
-        return dephasing.SpectralDensity(j0=self.j0, mu=self.mu, omega_c=self.omega_c)
+    def models(self) -> list[dephasing.DephasingModel]:
+        """One model per alpha; the bath and beta are range-checked here."""
+        spectral = _checked(
+            dephasing.SpectralDensity, j0=self.j0, mu=self.mu, omega_c=self.omega_c
+        )
+        return [
+            _checked(dephasing.DephasingModel, alpha=a, beta=self.beta, spectral=spectral)
+            for a in self.alphas
+        ]
+
+
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; its parameter checks are config errors."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _finite_float(text: str) -> float:
+    """A flag or config value that must be a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_alpha_list(text: str) -> tuple[float, ...]:
@@ -87,28 +114,28 @@ def _parse_alpha_list(text: str) -> tuple[float, ...]:
     if not items:
         raise ConfigError("empty alpha list")
     try:
-        return tuple(float(s) for s in items)
-    except ValueError as exc:
-        raise ConfigError(f"bad alpha list {text!r}") from exc
+        return tuple(_finite_float(s) for s in items)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"bad alpha list {text!r}: {exc}") from exc
 
 
 _CONFIG_PARSERS = {
     "alpha": ("alphas", _parse_alpha_list),
-    "j0": ("j0", float),
-    "mu": ("mu", float),
-    "omega_c": ("omega_c", float),
-    "beta": ("beta", float),
-    "t_start": ("t_start", float),
-    "t_end": ("t_end", float),
+    "j0": ("j0", _finite_float),
+    "mu": ("mu", _finite_float),
+    "omega_c": ("omega_c", _finite_float),
+    "beta": ("beta", _finite_float),
+    "t_start": ("t_start", _finite_float),
+    "t_end": ("t_end", _finite_float),
     "n_points": ("n_points", int),
-    "tol": ("tol", float),
+    "tol": ("tol", _finite_float),
     "modes": ("modes", int),
     "fock_dim": ("fock_dim", int),
-    "omega_max": ("omega_max", float),
-    "compare_tol": ("compare_tol", float),
-    "state_r11": ("state_r11", float),
-    "state_re12": ("state_re12", float),
-    "state_im12": ("state_im12", float),
+    "omega_max": ("omega_max", _finite_float),
+    "compare_tol": ("compare_tol", _finite_float),
+    "state_r11": ("state_r11", _finite_float),
+    "state_re12": ("state_re12", _finite_float),
+    "state_im12": ("state_im12", _finite_float),
     "representation": ("representation", str),
     "out": ("out", str),
 }
@@ -131,26 +158,40 @@ def load_config_file(path: str, base: ScenarioConfig) -> ScenarioConfig:
                 field_name, parser = _CONFIG_PARSERS[key]
                 try:
                     updates[field_name] = parser(value.strip())
-                except (ValueError, ConfigError) as exc:
+                except (ValueError, ConfigError, argparse.ArgumentTypeError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return replace(base, **updates)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="key=value configuration file")
-    p.add_argument("--out", metavar="PATH", help="output CSV path")
-    p.add_argument("--alpha", metavar="LIST", help="comma-separated alpha values")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--j0", type=float)
-    p.add_argument("--omega-c", dest="omega_c", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--n-points", dest="n_points", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--modes", type=int)
-    p.add_argument("--fock-dim", dest="fock_dim", type=int)
+#: Flags that are not a number: their argparse settings. Any other flag
+#: parses as its config key does.
+_FLAG_SETTINGS = {
+    "out": dict(metavar="PATH", help="output CSV path"),
+    "state": dict(
+        metavar="R11,RE12,IM12",
+        help="initial state entries r11, Re r12, Im r12 (r22 = 1 - r11)",
+    ),
+    "representation": dict(choices=["hermitian", "pt"]),
+}
+
+#: The flags every CSV-writing subcommand reads: output, bath and time grid.
+_CSV_FLAGS = ("out", "beta", "mu", "j0", "omega_c", "t_end", "n_points")
+
+#: Help text and flags of each subcommand: each takes only the flags it reads.
+_SUBCOMMANDS = {
+    "spectrum": ("eigenvalues and phase classification over an alpha grid", ()),
+    "figure1": ("decoherence-function family D(t; alpha) as CSV", _CSV_FLAGS + ("tol",)),
+    "evolve": (
+        "exact reduced qubit trajectory as CSV",
+        _CSV_FLAGS + ("tol", "state", "representation"),
+    ),
+    "oracle-compare": (
+        "brute-force bath validation report as CSV",
+        _CSV_FLAGS + ("modes", "fock_dim", "omega_max", "compare_tol"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,26 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dephasing dynamics of PT-symmetric qubits (hbar = 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("spectrum", "eigenvalues and phase classification over an alpha grid"),
-        ("figure1", "decoherence-function family D(t; alpha) as CSV"),
-        ("evolve", "exact reduced qubit trajectory as CSV"),
-        ("oracle-compare", "brute-force bath validation report as CSV"),
-    ]:
+    for name, (helptext, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        _add_common_flags(p)
-        if name == "evolve":
-            p.add_argument(
-                "--state",
-                metavar="R11,RE12,IM12",
-                help="initial state entries r11, Re r12, Im r12 (r22 = 1 - r11)",
-            )
-            p.add_argument(
-                "--representation", choices=["hermitian", "pt"], default=None
-            )
-        if name == "oracle-compare":
-            p.add_argument("--omega-max", dest="omega_max", type=float)
-            p.add_argument("--compare-tol", dest="compare_tol", type=float)
+        p.add_argument("--config", metavar="PATH", help="key=value configuration file")
+        p.add_argument("--alpha", metavar="LIST", help="comma-separated alpha values")
+        for flag in flags:
+            settings = _FLAG_SETTINGS.get(flag) or dict(type=_CONFIG_PARSERS[flag][1])
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, **settings)
     return parser
 
 
@@ -187,34 +215,20 @@ def build_config(args: argparse.Namespace, base: ScenarioConfig) -> ScenarioConf
     if args.config:
         cfg = load_config_file(args.config, cfg)
     updates = {}
-    for name in (
-        "out",
-        "beta",
-        "mu",
-        "j0",
-        "omega_c",
-        "t_end",
-        "n_points",
-        "tol",
-        "modes",
-        "fock_dim",
-        "omega_max",
-        "compare_tol",
-        "representation",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    if getattr(args, "alpha", None) is not None:
+    for key, (field_name, _) in _CONFIG_PARSERS.items():
+        value = getattr(args, key, None)
+        if value is not None and key != "alpha":
+            updates[field_name] = value
+    if args.alpha is not None:
         updates["alphas"] = _parse_alpha_list(args.alpha)
     if getattr(args, "state", None) is not None:
         parts = [s.strip() for s in args.state.split(",")]
         if len(parts) != 3:
             raise ConfigError("--state expects three numbers: r11,re12,im12")
         try:
-            r11, re12, im12 = (float(s) for s in parts)
-        except ValueError as exc:
-            raise ConfigError(f"bad --state {args.state!r}") from exc
+            r11, re12, im12 = (_finite_float(s) for s in parts)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"bad --state {args.state!r}: {exc}") from exc
         updates.update(state_r11=r11, state_re12=re12, state_im12=im12)
     return replace(cfg, **updates)
 
@@ -279,8 +293,9 @@ def _header(cmd: str, cfg: ScenarioConfig, extra: list[str] | None = None) -> li
 
 def cmd_figure1(cfg: ScenarioConfig) -> int:
     _require_unbroken_alphas(cfg)
+    models = cfg.models()
     table = dephasing.sweep_alpha(
-        cfg.alphas, cfg.times(), cfg.spectral(), cfg.beta, tol=cfg.tol
+        cfg.alphas, cfg.times(), models[0].spectral, cfg.beta, tol=cfg.tol
     )
     lines = _header("figure1", cfg)
     lines.append("t," + ",".join(f"D_alpha={_label(a)}" for a in cfg.alphas))
@@ -297,33 +312,26 @@ def cmd_evolve(cfg: ScenarioConfig) -> int:
         raise ConfigError("evolve expects exactly one alpha")
     if cfg.representation not in ("hermitian", "pt"):
         raise ConfigError(f"unknown representation {cfg.representation!r}")
-    alpha = cfg.alphas[0]
+    (model,) = cfg.models()
+    times = cfg.times()
     r12 = cfg.state_re12 + 1j * cfg.state_im12
     rho0 = np.array(
         [[cfg.state_r11, r12], [np.conj(r12), 1.0 - cfg.state_r11]], dtype=complex
     )
-    model = dephasing.DephasingModel(alpha=alpha, beta=cfg.beta, spectral=cfg.spectral())
-    cmap = None
-    if cfg.representation == "pt":
-        cmap = dephasing.qubit_transform(alpha)
+    cmap = dephasing.qubit_transform(model.alpha) if cfg.representation == "pt" else None
+    # the state at t = 0 needs no gamma: an inadmissible rho0 fails first
+    dephasing.evolve_exact_given_d(rho0, model.e1, 0.0, 1.0)
 
-    rows = []
-    for t in cfg.times():
-        rho = dephasing.evolve_exact(model, rho0, t, tol=cfg.tol)
-        if cmap is not None:
-            rho = pt_core.map_state_back(rho, cmap)
-        rows.append(
-            [t]
-            + [f(rho[i, j]) for i in range(2) for j in range(2) for f in (np.real, np.imag)]
-        )
+    table = dephasing.sweep_alpha([model.alpha], times, model.spectral, model.beta, tol=cfg.tol)
+    rhos = dephasing.evolve_exact_given_d(rho0, model.e1, times, table.decoherence[:, 0])
+    if cmap is not None:
+        rhos = np.array([pt_core.map_state_back(rho, cmap) for rho in rhos])
+    entries = rhos.reshape(times.size, 4)
+    parts = np.stack((entries.real, entries.imag), axis=-1).reshape(times.size, 8)
     lines = _header("evolve", cfg, [f"# representation = {cfg.representation}"])
-    lines.append(
-        "t,"
-        + ",".join(
-            f"rho{i}{j}_{part}" for i in (1, 2) for j in (1, 2) for part in ("re", "im")
-        )
-    )
-    lines.extend(_fmt_rows(rows))
+    names = [f"rho{i}{j}_{part}" for i in (1, 2) for j in (1, 2) for part in ("re", "im")]
+    lines.append(",".join(["t"] + names))
+    lines.extend(_fmt_rows(np.column_stack((times, parts))))
     out = cfg.out or "evolve.csv"
     _write_atomic(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
@@ -332,12 +340,13 @@ def cmd_evolve(cfg: ScenarioConfig) -> int:
 
 def cmd_oracle_compare(cfg: ScenarioConfig) -> int:
     _require_unbroken_alphas(cfg)
-    bath = oracle.discretize_bath(
-        cfg.spectral(), n_modes=cfg.modes, omega_max=cfg.omega_max, fock_dim=cfg.fock_dim
+    models = cfg.models()
+    bath = _checked(
+        oracle.discretize_bath, models[0].spectral, cfg.modes, cfg.omega_max, cfg.fock_dim
     )
     times = cfg.times()
 
-    reports = [oracle.run_comparison(a, bath, cfg.beta, times) for a in cfg.alphas]
+    reports = [oracle.run_comparison(m.alpha, bath, m.beta, times) for m in models]
     pooled_c, pooled_resid = oracle.fit_decay_constant(
         np.concatenate([r.exponents for r in reports]),
         np.concatenate([r.brute_decoherence for r in reports]),
@@ -349,21 +358,10 @@ def cmd_oracle_compare(cfg: ScenarioConfig) -> int:
     ]
     lines = _header("oracle-compare", cfg, extra)
     lines.append("alpha,t,exponent,D_analytic,D_brute,dev_D,dev_rho")
-    for a, rep in zip(cfg.alphas, reports):
-        for i, t in enumerate(rep.times):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(a),
-                        _fmt(t),
-                        _fmt(rep.exponents[i]),
-                        _fmt(rep.analytic_decoherence[i]),
-                        _fmt(rep.brute_decoherence[i]),
-                        _fmt(rep.dev_decoherence[i]),
-                        _fmt(rep.dev_rho[i]) if rep.dev_rho is not None else "",
-                    ]
-                )
-            )
+    for a, r in zip(cfg.alphas, reports):
+        columns = [np.full(times.size, a), times, r.exponents, r.analytic_decoherence]
+        columns += [r.brute_decoherence, r.dev_decoherence, r.dev_rho]
+        lines.extend(_fmt_rows(np.column_stack(columns)))
     out = cfg.out or "oracle_compare.csv"
     _write_atomic(out, "\n".join(lines) + "\n")
 

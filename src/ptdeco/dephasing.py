@@ -16,6 +16,10 @@ gives the Hurwitz-zeta form ``J0 Gamma(mu) beta^-mu Re[2(zeta(mu, a) -
 zeta(mu, b)) - (a^-mu - b^-mu)]`` with ``a = 1/(beta w_c)``, ``b = a - i t/beta``,
 summed by Euler-Maclaurin (DLMF 25.11) in real arithmetic over a whole
 time array at once, with an a-priori error bound (see ``_gamma_values``).
+
+A time grid takes one array pass: :func:`sweep_alpha` for D(t),
+:func:`gamma_discrete` for the discrete-bath sum and
+:func:`evolve_exact_given_d` for the states.
 """
 
 from __future__ import annotations
@@ -38,9 +42,6 @@ DEFAULT_GAMMA_TOL = 1e-10
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-#: Below beta*w = 1e-4 the coth factor switches to its Laurent series.
-_COTH_SERIES_CUT = 1e-4
-
 
 @dataclass(frozen=True)
 class SpectralDensity:
@@ -51,12 +52,13 @@ class SpectralDensity:
     omega_c: float
 
     def __post_init__(self):
-        if self.j0 < 0.0:
-            raise ValueError("j0 must be >= 0")
-        if self.mu <= -1.0:
-            raise InvalidExponent(f"mu = {self.mu} <= -1 makes gamma(t) divergent")
-        if self.omega_c <= 0.0:
-            raise ValueError("omega_c must be > 0")
+        # written as not (x > bound) so that NaN fails each check
+        if not (self.j0 >= 0.0):
+            raise ValueError(f"j0 must be >= 0, got {self.j0}")
+        if not (self.mu > -1.0):
+            raise InvalidExponent(f"mu = {self.mu} is not > -1: gamma(t) diverges")
+        if not (self.omega_c > 0.0):
+            raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
 
     def __call__(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -72,8 +74,8 @@ class DephasingModel:
     spectral: SpectralDensity
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError("beta must be > 0")
+        if not (self.beta > 0.0):
+            raise ValueError(f"beta must be > 0, got {self.beta}")
 
     @property
     def unbroken(self) -> bool:
@@ -101,6 +103,8 @@ def qubit_hamiltonian(alpha: float) -> PtHamiltonian:
 
 def qubit_energies(alpha: float) -> tuple[float, float]:
     """(E1, E2) = (-sqrt(1 - alpha^2), +sqrt(1 - alpha^2)); unbroken only."""
+    if math.isnan(alpha):
+        raise ValueError("alpha is NaN")
     if abs(alpha) > 1.0:
         raise BrokenPhase(f"|alpha| = {abs(alpha)} > 1: complex spectrum")
     root = math.sqrt(1.0 - alpha * alpha)
@@ -131,13 +135,6 @@ def qubit_transform(alpha: float) -> CanonicalMap:
     T_inv = build(1.0 / s1, 1.0 / s2)
     condition = max(s1, s2) / min(s1, s2)
     return CanonicalMap(T=T, T_inv=T_inv, condition=condition)
-
-
-def _coth(x: float) -> float:
-    # Laurent series below the cut avoids 0/0 in downstream products.
-    if x < _COTH_SERIES_CUT:
-        return 1.0 / x + x / 3.0 - x**3 / 45.0
-    return 1.0 / math.tanh(x)
 
 
 #: Direct terms of the k-sum and Bernoulli corrections of its tail; terms
@@ -228,18 +225,18 @@ def gamma_integral(
     return GammaResult(float(value[0]), float(bound[0]), _N_TERMS)
 
 
-def gamma_discrete(omegas, gs, beta, t: float) -> float:
+def gamma_discrete(omegas, gs, beta, t):
     """Discrete-bath form sum_n (g_n/w_n)^2 (1 - cos w_n t) coth(beta w_n / 2).
 
+    ``t`` is a scalar or an array of times; the result has its shape.
     ``beta=None`` or infinity takes the zero-temperature limit coth -> 1.
     """
     omegas = np.asarray(omegas, dtype=float)
-    gs = np.asarray(gs, dtype=float)
-    if beta is None or math.isinf(beta):
-        coth = np.ones_like(omegas)
-    else:
-        coth = np.array([_coth(0.5 * beta * w) for w in omegas])
-    return float(np.sum((gs / omegas) ** 2 * 2.0 * np.sin(0.5 * omegas * t) ** 2 * coth))
+    coth = 1.0
+    if beta is not None and not math.isinf(beta):
+        coth = 1.0 / np.tanh(0.5 * beta * omegas)
+    sin2 = np.sin(0.5 * np.multiply.outer(t, omegas)) ** 2
+    return ((np.asarray(gs, dtype=float) / omegas) ** 2 * 2.0 * sin2 * coth).sum(axis=-1)
 
 
 def decoherence_function(
@@ -262,15 +259,16 @@ def ohmic_asymptote(alpha: float, j0: float, beta: float, t: float) -> float:
     return math.exp(-math.pi * j0 * (1.0 - alpha * alpha) * t / beta)
 
 
-def evolve_exact_given_d(varrho0, e1: float, t: float, d: float) -> np.ndarray:
+def evolve_exact_given_d(varrho0, e1: float, t, d) -> np.ndarray:
     """The transcribed closed-form solution with an externally supplied D(t).
 
         r11(t) = 1/2 - Re[r12(0) e^(-i E1 t)] D(t)
         r12(t) = r11(0) - 1/2 + i Im[r12(0) e^(-i E1 t)] D(t)
 
-    with r22 = 1 - r11 and r21 = conj(r12). The formulas at t = 0 with
-    D(0) = 1 must reproduce the input state (this restricts admissible
-    initial states to r11(0) = 1/2, Re r12(0) = 0); otherwise
+    with r22 = 1 - r11 and r21 = conj(r12). ``t`` and ``d`` are scalars or
+    aligned arrays; the states have shape ``(..., 2, 2)``. The formulas at
+    t = 0 with D(0) = 1 must reproduce the input state (this restricts
+    admissible initial states to r11(0) = 1/2, Re r12(0) = 0); otherwise
     :class:`InconsistentInitialState` is raised rather than guessing a
     correction.
     """
@@ -289,10 +287,14 @@ def evolve_exact_given_d(varrho0, e1: float, t: float, d: float) -> np.ndarray:
             f"got r11(0) = {r11_0:.6g}, r12(0) = {r12_0:.6g}"
         )
 
-    rot = r12_0 * np.exp(-1j * e1 * t)
+    rot = r12_0 * np.exp(-1j * e1 * np.asarray(t, dtype=float))
+    d = np.asarray(d, dtype=float)
     r11 = 0.5 - rot.real * d
     r12 = (r11_0 - 0.5) + 1j * rot.imag * d
-    return np.array([[r11, r12], [np.conj(r12), 1.0 - r11]], dtype=complex)
+    rho = np.empty(r11.shape + (2, 2), dtype=complex)
+    rho[..., 0, 0], rho[..., 0, 1] = r11, r12
+    rho[..., 1, 0], rho[..., 1, 1] = np.conj(r12), 1.0 - r11
+    return rho
 
 
 def evolve_exact(
@@ -336,13 +338,15 @@ def sweep_alpha(
     times = np.asarray(list(times), dtype=float)
     if alphas.size == 0 or times.size == 0:
         raise ValueError("alphas and times must be non-empty")
+    if np.any(np.isnan(alphas)):
+        raise ValueError("alphas must not be NaN")
     if np.any(np.abs(alphas) > 1.0):
         raise BrokenPhase("sweep requires |alpha| <= 1")
     if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be ascending and nonnegative")
 
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
+    if not (beta > 0.0):
+        raise ValueError(f"beta must be > 0, got {beta}")
     if np.any(np.abs(alphas) < 1.0):
         gamma, _ = _gamma_values(spectral, beta, times, tol)
     else:

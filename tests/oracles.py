@@ -76,7 +76,18 @@ def gamma_trapezoid(
         f = f * 2.0 * np.sin(0.5 * w * t) ** 2 * coth
         g = f * p * u ** (p - 1.0)
     g[0] = 0.0
-    return float(np.trapezoid(g, u))
+    # the trapezoid sum written out: np.trapezoid needs numpy >= 2.0
+    return float((np.diff(u) * (g[1:] + g[:-1]) / 2.0).sum())
+
+
+def gamma_discrete_loops(omegas, gs, beta, t: float) -> float:
+    """Discrete-bath gamma_N(t) term by term, coth as 1/math.tanh, summed
+    exactly by math.fsum; ``beta`` None or infinite means coth = 1."""
+    terms = []
+    for w, g in zip(omegas, gs):
+        coth = 1.0 if beta is None or math.isinf(beta) else 1.0 / math.tanh(0.5 * beta * w)
+        terms.append(2.0 * (g / w) ** 2 * math.sin(0.5 * w * t) ** 2 * coth)
+    return math.fsum(terms)
 
 
 def gamma_hurwitz_mpmath(t: float, j0: float, mu: float, omega_c: float, beta: float) -> float:

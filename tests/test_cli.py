@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from ptdeco import cli
+from ptdeco import cli, dephasing, pt_core
 
 pytestmark = pytest.mark.filterwarnings("ignore::ptdeco.errors.TruncationWarning")
 
@@ -153,6 +153,34 @@ class TestEvolveCommand:
         assert "InconsistentInitialState" in err
         assert "r11(0) = 1/2 - Re r12(0)" in err
 
+    def test_inconsistent_state_reported_before_gamma(self, tmp_path, capsys):
+        # a tolerance no gamma(t) can meet: the state check must come first
+        out = tmp_path / "ev.csv"
+        argv = ["evolve", "--state", "0.7,0.1,0", "--tol", "1e-18", "--out", str(out)]
+        assert run(argv) == 1
+        assert "InconsistentInitialState" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("representation", ["hermitian", "pt"])
+    def test_matches_per_time_evolve_exact(self, tmp_path, representation):
+        out = tmp_path / "ev.csv"
+        argv = [
+            "evolve", "--alpha", "0.7", "--state", "0.5,0,-0.4", "--beta", "2",
+            "--n-points", "25", "--t-end", "9", "--representation", representation,
+            "--out", str(out),
+        ]
+        assert run(argv) == 0
+        _, _, rows = read_rows(out)
+        model = dephasing.DephasingModel(0.7, 2.0, dephasing.SpectralDensity(1.0, -0.5, 1.0))
+        rho0 = np.array([[0.5, -0.4j], [0.4j, 0.5]])
+        cmap = dephasing.qubit_transform(0.7)
+        for row in rows:
+            rho = dephasing.evolve_exact(model, rho0, row[0])
+            if representation == "pt":
+                rho = pt_core.map_state_back(rho, cmap)
+            expected = np.column_stack((rho.real.ravel(), rho.imag.ravel())).ravel()
+            np.testing.assert_allclose(row[1:], expected, rtol=0.0, atol=1e-15)
+
 
 class TestOracleCompareCommand:
     def test_default_instance_passes(self, tmp_path, capsys):
@@ -214,6 +242,90 @@ class TestConfigHandling:
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("beta = warm\n")
         assert run(["figure1", "--config", str(cfgfile)]) == 2
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["figure1", "--beta", "0"], "beta"),
+            (["figure1", "--j0", "-1"], "j0"),
+            (["evolve", "--omega-c", "0"], "omega_c"),
+            (["oracle-compare", "--modes", "0"], "modes"),
+            (["oracle-compare", "--fock-dim", "1"], "fock_dim"),
+            (["oracle-compare", "--omega-max", "-1"], "omega_max"),
+        ],
+    )
+    def test_out_of_range_is_one_line_config_error(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "never.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert name in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure1", "--alpha", "nan"],
+            ["evolve", "--alpha", "nan"],
+            ["spectrum", "--alpha", "nan"],
+            ["oracle-compare", "--alpha", "0,nan"],
+            ["evolve", "--state", "0.5,0,nan"],
+        ],
+    )
+    def test_non_finite_alpha_or_state_is_config_error(self, tmp_path, capsys, argv):
+        out_flag = [] if argv[0] == "spectrum" else ["--out", str(tmp_path / "never.csv")]
+        assert run(argv + out_flag) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "finite" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure1", "--beta", "nan"],
+            ["figure1", "--mu", "nan"],
+            ["evolve", "--t-end", "inf"],
+            ["oracle-compare", "--omega-max=-inf"],
+        ],
+    )
+    def test_non_finite_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_config_value_is_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("beta = nan\n")
+        assert run(["figure1", "--config", str(cfgfile)]) == 2
+        assert "bad value for beta" in capsys.readouterr().err
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--tol", "5"],
+            ["spectrum", "--out", "x.csv"],
+            ["figure1", "--modes", "7"],
+            ["evolve", "--fock-dim", "3"],
+            ["oracle-compare", "--tol", "1e-8"],
+        ],
+    )
+    def test_unread_flag_is_unknown(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_keys_stay_shared(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("modes = 3\nfock_dim = 4\nn_points = 3\n")
+        out = tmp_path / "o.csv"
+        assert run(["figure1", "--config", str(cfgfile), "--out", str(out)]) == 0
+        assert len(read_rows(out)[2]) == 3
 
 
 class TestEntryPoint:

@@ -13,7 +13,8 @@ from ptdeco.errors import (
     QuadratureFailure,
 )
 
-from .oracles import gamma_hurwitz_mpmath, gamma_trapezoid
+from .conftest import count_calls
+from .oracles import gamma_discrete_loops, gamma_hurwitz_mpmath, gamma_trapezoid
 
 FIG1_SPECTRAL = SpectralDensity(j0=1.0, mu=-0.5, omega_c=1.0)
 FIG1_BETA = 0.5
@@ -62,6 +63,16 @@ class TestSpectralDensity:
         with pytest.raises(ValueError):
             SpectralDensity(j0=1.0, mu=0.0, omega_c=0.0)
 
+    def test_nan_parameters_rejected(self):
+        with pytest.raises(ValueError, match="j0"):
+            SpectralDensity(j0=math.nan, mu=0.0, omega_c=1.0)
+        with pytest.raises(InvalidExponent):
+            SpectralDensity(j0=1.0, mu=math.nan, omega_c=1.0)
+        with pytest.raises(ValueError, match="omega_c"):
+            SpectralDensity(j0=1.0, mu=0.0, omega_c=math.nan)
+        with pytest.raises(ValueError, match="beta"):
+            DephasingModel(0.5, math.nan, FIG1_SPECTRAL)
+
 
 class TestQubit:
     def test_alpha_zero_is_sigma_x(self):
@@ -90,6 +101,10 @@ class TestQubit:
     def test_energies_broken_phase(self):
         with pytest.raises(BrokenPhase):
             dephasing.qubit_energies(1.2)
+
+    def test_energies_nan_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
+            dephasing.qubit_energies(math.nan)
 
 
 class TestQubitTransform:
@@ -203,6 +218,19 @@ class TestGammaDiscrete:
             dephasing.gamma_discrete([1.0, 2.0], [0.3, 0.1], None, 1.3)
         )
 
+    @pytest.mark.parametrize("beta", [None, math.inf, 1e-6, 2e-5, 0.5, 40.0])
+    def test_time_array_matches_scalar_calls_and_tanh_reference(self, beta):
+        # beta = 1e-6 and 2e-5 put beta*w/2 below 1e-4 for every mode
+        omegas = np.array([0.3, 1.1, 2.0, 4.7, 9.5])
+        gs = np.array([0.5, 0.2, 0.3, 0.05, 0.1])
+        times = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 41)])
+        values = dephasing.gamma_discrete(omegas, gs, beta, times)
+        assert values.shape == times.shape
+        scalar = [dephasing.gamma_discrete(omegas, gs, beta, t) for t in times]
+        np.testing.assert_array_equal(values, scalar)
+        reference = [gamma_discrete_loops(omegas, gs, beta, t) for t in times]
+        np.testing.assert_allclose(values, reference, rtol=1e-15, atol=0.0)
+
     def test_coupling_rescaling_removes_alpha_dependence(self):
         omegas = np.array([0.5, 1.5, 2.5])
         gs = np.array([0.4, 0.2, 0.1])
@@ -303,6 +331,35 @@ class TestEvolveExact:
             dephasing.evolve_exact(model, bad2, 1.0)
 
 
+class TestEvolveExactGivenD:
+    RHO0 = np.array([[0.5, 0.35j], [-0.35j, 0.5]])
+
+    def test_arrays_match_per_time_calls(self):
+        e1 = dephasing.qubit_energies(0.6)[0]
+        times = np.linspace(0.0, 7.0, 15)
+        ds = np.exp(-0.2 * times)
+        states = dephasing.evolve_exact_given_d(self.RHO0, e1, times, ds)
+        assert states.shape == (15, 2, 2)
+        for t, d, rho in zip(times, ds, states):
+            np.testing.assert_array_equal(
+                rho, dephasing.evolve_exact_given_d(self.RHO0, e1, t, d)
+            )
+
+    def test_scalar_call_is_one_matrix(self):
+        rho = dephasing.evolve_exact_given_d(self.RHO0, -0.8, 1.3, 0.7)
+        assert rho.shape == (2, 2)
+        assert rho.dtype == complex
+
+    def test_state_validated_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, dephasing, "require_density_matrix")
+        dephasing.evolve_exact_given_d(self.RHO0, -0.8, np.linspace(0.0, 1.0, 9), np.ones(9))
+        assert calls == [(2, 2)]
+
+    def test_inconsistent_state_rejected_for_arrays(self):
+        with pytest.raises(InconsistentInitialState):
+            dephasing.evolve_exact_given_d(np.diag([0.7, 0.3]), -0.8, [0.0, 1.0], [1.0, 0.9])
+
+
 class TestSweepAlpha:
     def test_critical_row_and_ordering(self):
         table = dephasing.sweep_alpha(
@@ -340,6 +397,10 @@ class TestSweepAlpha:
     def test_rejects_broken_phase_alphas(self):
         with pytest.raises(BrokenPhase):
             dephasing.sweep_alpha([0.0, 1.5], [0.0, 1.0], FIG1_SPECTRAL, FIG1_BETA)
+
+    def test_rejects_nan_alpha(self):
+        with pytest.raises(ValueError, match="NaN"):
+            dephasing.sweep_alpha([0.0, math.nan], [0.0, 1.0], FIG1_SPECTRAL, FIG1_BETA)
 
     def test_rejects_descending_times(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from ptdeco import dephasing, oracle
 from ptdeco.dephasing import DephasingModel, SpectralDensity
 from ptdeco.errors import DimensionCap, LengthMismatch, TruncationWarning
 
+from .conftest import count_calls
 from .oracles import expm_series, kron_loops, ptrace_env_loops
 
 pytestmark = pytest.mark.filterwarnings("ignore::ptdeco.errors.TruncationWarning")
@@ -317,6 +318,44 @@ class TestCompare:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             oracle.compare([1.0], [1.0, 0.9], [0.0, 1.0], [0.0, 0.1])
+
+    def test_state_trajectory_length_mismatch(self):
+        times = np.array([0.0, 1.0])
+        rhos = np.repeat(oracle.DEFAULT_INITIAL_STATE[None], 2, axis=0)
+        with pytest.raises(LengthMismatch):
+            oracle.compare(times, times, times, times, rho_analytic=rhos, rho_brute=rhos[:1])
+        with pytest.raises(LengthMismatch):
+            oracle.compare(times, times, times, times, rho_analytic=rhos)
+
+    def test_dev_rho_is_per_time_max_entry_deviation(self, rng):
+        times = np.linspace(0.0, 1.0, 4)
+        a = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+        b = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+        rep = oracle.compare(times, times, times, times, rho_analytic=a, rho_brute=b)
+        expected = [np.max(np.abs(x - y)) for x, y in zip(a, b)]
+        np.testing.assert_array_equal(rep.dev_rho, expected)
+
+    def test_one_gamma_sum_per_alpha(self, monkeypatch):
+        calls = count_calls(monkeypatch, dephasing, "gamma_discrete")
+        bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=15.0, fock_dim=4)
+        times = np.linspace(0.0, 3.0, 13)
+        for alpha in (0.0, 0.6):
+            with pytest.warns(TruncationWarning):
+                oracle.run_comparison(alpha, bath, 0.5, times)
+        assert calls == [(2,), (2,)]
+
+    def test_stacked_states_match_per_state_coherence(self):
+        bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=15.0, fock_dim=4)
+        times = np.linspace(0.0, 3.0, 7)
+        with pytest.warns(TruncationWarning):
+            states, _ = oracle.brute_force_dynamics(
+                0.6, bath, 0.5, oracle.DEFAULT_INITIAL_STATE, times
+            )
+        assert states.shape == (7, 2, 2)
+        stacked = oracle.coherence_sx(states)
+        np.testing.assert_allclose(
+            stacked, [oracle.coherence_sx(s) for s in states], rtol=0.0, atol=1e-16
+        )
 
 
 class TestCouplingRescaling:
