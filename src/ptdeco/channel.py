@@ -142,7 +142,7 @@ def reduced_state(model: CompositeModel, varrho0_S, Omega_B, t: float) -> np.nda
     """Evolve the uncorrelated initial state and trace out the environment."""
     varrho0_S = require_density_matrix(varrho0_S, name="varrho0_S")
     Omega_B = require_density_matrix(Omega_B, name="Omega_B")
-    if varrho0_S.shape[0] != model.dim_S or Omega_B.shape[0] != model.dim_B:
+    if varrho0_S.shape != (model.dim_S,) * 2 or Omega_B.shape != (model.dim_B,) * 2:
         raise DimensionMismatch("state dimensions do not match the model")
     U = propagator(model, t)
     rho = U @ linalg.kron(varrho0_S, Omega_B) @ U.conj().T
@@ -165,7 +165,7 @@ def kraus_extract(
     ascending beta.
     """
     Omega_B = require_density_matrix(Omega_B, name="Omega_B")
-    if Omega_B.shape[0] != model.dim_B:
+    if Omega_B.shape != (model.dim_B,) * 2:
         raise DimensionMismatch("Omega_B dimension does not match the model")
     p, states = np.linalg.eigh((Omega_B + Omega_B.conj().T) / 2.0)
     order = np.argsort(-p, kind="stable")

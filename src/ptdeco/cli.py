@@ -325,7 +325,7 @@ def cmd_evolve(cfg: ScenarioConfig) -> int:
     table = dephasing.sweep_alpha([model.alpha], times, model.spectral, model.beta, tol=cfg.tol)
     rhos = dephasing.evolve_exact_given_d(rho0, model.e1, times, table.decoherence[:, 0])
     if cmap is not None:
-        rhos = np.array([pt_core.map_state_back(rho, cmap) for rho in rhos])
+        rhos = pt_core.map_state_back(rhos, cmap)
     entries = rhos.reshape(times.size, 4)
     parts = np.stack((entries.real, entries.imag), axis=-1).reshape(times.size, 8)
     lines = _header("evolve", cfg, [f"# representation = {cfg.representation}"])

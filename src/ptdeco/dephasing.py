@@ -229,8 +229,11 @@ def gamma_discrete(omegas, gs, beta, t):
     """Discrete-bath form sum_n (g_n/w_n)^2 (1 - cos w_n t) coth(beta w_n / 2).
 
     ``t`` is a scalar or an array of times; the result has its shape.
-    ``beta=None`` or infinity takes the zero-temperature limit coth -> 1.
+    ``beta=None`` or infinity takes the zero-temperature limit coth -> 1;
+    any other ``beta`` must be > 0 (NaN included), else ValueError.
     """
+    if beta is not None and not (beta > 0.0):
+        raise ValueError(f"beta must be > 0, got {beta}")
     omegas = np.asarray(omegas, dtype=float)
     coth = 1.0
     if beta is not None and not math.isinf(beta):

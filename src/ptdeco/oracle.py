@@ -1,19 +1,24 @@
 """Brute-force validation of the dephasing results on a finite bath.
 
 The bath is discretized into N modes with truncated Fock spaces, and the
-composite is evolved exactly in the two sigma_x sectors of the coupling
-(one bath-sized eigendecomposition each, then phases for all times). The
-sigma_x-basis coherence decay is compared against ``exp(-c E1^2
-gamma_N(t))`` with the discrete-sum ``gamma_N`` replacing the bath
-integral, so both sides share the same finite bath. Each side is evaluated
-once over the whole time grid: one ``gamma_N`` sum, one stack of closed-form
-states and one stack of brute-force states per alpha. The fitted ``c``
-converges to 4 as the truncation is raised: the sectors see the bath
-displaced by ``+-E1 g_n``, and the splitting ``2|E1|`` enters the exponent
-squared (Palma, Suominen & Ekert, Proc. R. Soc. A 452, 567 (1996)).
+composite is evolved exactly in the two sigma_x sectors of the coupling.
+Within a sector the bath Hamiltonian is a sum of single-mode terms and the
+thermal state is a product, so the sector trace factorizes over modes: one
+eigendecomposition of the stack of N mode blocks (d_F x d_F) per sector,
+then phases for all times. The sigma_x-basis coherence decay is compared
+against ``exp(-c E1^2 gamma_N(t))`` with the discrete-sum ``gamma_N``
+replacing the bath integral, so both sides share the same finite bath.
+Each side is evaluated once over the whole time grid: one ``gamma_N`` sum,
+one stack of closed-form states and one stack of brute-force states per
+alpha. The fitted ``c`` converges to 4 as the truncation is raised: the
+sectors see the bath displaced by ``+-E1 g_n``, and the splitting ``2|E1|``
+enters the exponent squared (Palma, Suominen & Ekert, Proc. R. Soc. A 452,
+567 (1996)).
 
-This module is deliberately naive: dense bath operators, midpoint
+This module is deliberately naive: exact per-mode evolution, midpoint
 discretization, no bath-scaling tricks. It must stay simple enough to trust.
+The dense full-space ``bath_operators`` and ``thermal_state`` remain as
+public references; the tests check the factorized sectors against them.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dephasing
-from .errors import DimensionCap, LengthMismatch, TruncationWarning
+from .errors import DimensionCap, DimensionMismatch, LengthMismatch, TruncationWarning
 from .pt_core import require_density_matrix
 
 DEFAULT_N_MODES = 3
@@ -141,6 +146,33 @@ def bath_operators(bath: DiscreteBath) -> tuple[np.ndarray, np.ndarray]:
     return H_B, V_B
 
 
+def _thermal_populations(
+    bath: DiscreteBath, beta: float, tail_threshold: float, stacklevel: int
+) -> np.ndarray:
+    """Gibbs populations of each mode on its kept Fock levels, ``(N, d_F)``.
+
+    Warns with :class:`TruncationWarning` when the untruncated thermal
+    state would put more than ``tail_threshold`` population beyond the kept
+    levels; ``stacklevel`` is the caller's, as it would pass it to
+    :func:`warnings.warn`.
+    """
+    if not (beta > 0.0):
+        raise ValueError("beta must be > 0")
+    # beta = inf gives q = 0 and the ground state, since 0**0 = 1
+    q = np.exp(-beta * bath.omegas)[:, None]
+    p = q ** np.arange(bath.fock_dim)
+    p /= p.sum(axis=1, keepdims=True)
+    tail = 1.0 - float(np.prod(1.0 - q**bath.fock_dim))
+    if tail > tail_threshold:
+        warnings.warn(
+            f"thermal tail population {tail:.3e} beyond fock_dim={bath.fock_dim} "
+            f"exceeds {tail_threshold:.1e}",
+            TruncationWarning,
+            stacklevel=stacklevel + 1,
+        )
+    return p
+
+
 def thermal_state(
     bath: DiscreteBath, beta: float, tail_threshold: float = TAIL_THRESHOLD
 ) -> np.ndarray:
@@ -150,37 +182,11 @@ def thermal_state(
     state would put more than ``tail_threshold`` population beyond the
     kept Fock levels. ``beta`` may be ``math.inf`` (ground state).
     """
-    if not (beta > 0.0):
-        raise ValueError("beta must be > 0")
     _require_within_cap(bath)
     diag = np.array([1.0])
-    kept = 1.0
-    for w in bath.omegas:
-        if math.isinf(beta):
-            p = np.zeros(bath.fock_dim)
-            p[0] = 1.0
-            kept_mode = 1.0
-        else:
-            q = math.exp(-beta * w)
-            p = q ** np.arange(bath.fock_dim)
-            p /= p.sum()
-            kept_mode = 1.0 - q**bath.fock_dim
+    for p in _thermal_populations(bath, beta, tail_threshold, stacklevel=2):
         diag = np.kron(diag, p)
-        kept *= kept_mode
-    tail = 1.0 - kept
-    if tail > tail_threshold:
-        warnings.warn(
-            f"thermal tail population {tail:.3e} beyond fock_dim={bath.fock_dim} "
-            f"exceeds {tail_threshold:.1e}",
-            TruncationWarning,
-            stacklevel=2,
-        )
     return np.diag(diag).astype(complex)
-
-
-def _top_level_mask(bath: DiscreteBath) -> np.ndarray:
-    """Bath basis states with some mode at its top Fock level."""
-    return np.any(_fock_levels(bath) == bath.fock_dim - 1, axis=0)
 
 
 #: Maps the computational basis to the sigma_x eigenbasis (+, -) and back.
@@ -204,11 +210,19 @@ def brute_force_dynamics(
     bath state ``omega``. ``rescale_coupling`` divides every g_n by |E1|
     first, which removes the alpha dependence from the interaction.
 
+    ``h_pm = pm E1 + sum_n h_n^pm`` with ``h_n^pm = w_n a^dag a pm E1 g_n
+    (a + a^dag)`` on one mode, and ``omega`` is a product over modes, so
+    the trace is ``exp(-2i E1 t) prod_n Tr[exp(-i h_n^+ t) omega_n
+    exp(i h_n^- t)]``: one eigendecomposition of the ``(N, d_F, d_F)``
+    stack of mode blocks per sector, never the ``d_F^N`` bath space.
+
     Returns ``(states, fock_tail)``: the reduced states at ``times`` as one
     ``(len(times), 2, 2)`` array, and the population at the top Fock level of
     any mode at the last sampled time.
     """
     varrho0_S = require_density_matrix(varrho0_S, name="varrho0_S")
+    if varrho0_S.shape != (2, 2):
+        raise DimensionMismatch(f"varrho0_S must be a qubit state, got {varrho0_S.shape}")
     times = np.asarray(list(times), dtype=float)
     e1, _ = dephasing.qubit_energies(alpha)
     gs = bath.gs
@@ -216,19 +230,25 @@ def brute_force_dynamics(
         if e1 == 0.0:
             raise ValueError("cannot rescale coupling at the critical point E1 = 0")
         gs = gs / abs(e1)
-    bath_scaled = DiscreteBath(omegas=bath.omegas, gs=gs, fock_dim=bath.fock_dim)
+    _require_within_cap(bath)
+    pops = _thermal_populations(bath, beta, TAIL_THRESHOLD, stacklevel=1)
 
-    H_B, V_B = bath_operators(bath_scaled)
-    omega = np.diag(thermal_state(bath_scaled, beta)).real
-    shift = e1 * (np.eye(bath_scaled.dim_b) + V_B)
-    energies_p, W_p = np.linalg.eigh(H_B + shift)
-    energies_m, W_m = np.linalg.eigh(H_B - shift)
+    a = _annihilation(bath.fock_dim).real
+    number = np.diag(np.arange(float(bath.fock_dim)))
+    free = bath.omegas[:, None, None] * number
+    coupling = (e1 * gs)[:, None, None] * (a + a.T)
+    energies_p, W_p = np.linalg.eigh(free + coupling)
+    energies_m, W_m = np.linalg.eigh(free - coupling)
 
-    # Tr[U_+ omega U_-^dag] = sum_jk phase_+j overlap_jk conj(phase_-k)
-    overlap = ((W_p.conj().T * omega) @ W_m) * (W_m.conj().T @ W_p).T
-    phases_p = np.exp(-1j * np.outer(times, energies_p))
-    phases_m = np.exp(-1j * np.outer(times, energies_m))
-    decay = ((phases_p @ overlap) * phases_m.conj()).sum(axis=1)
+    # the mode blocks are real symmetric, so W^dag = W^T
+    # Tr[U_+n omega_n U_-n^dag] = sum_jk phase_+j overlap_jk conj(phase_-k), per mode
+    W_p_t = np.swapaxes(W_p, 1, 2)
+    W_m_t = np.swapaxes(W_m, 1, 2)
+    overlap = ((W_p_t * pops[:, None, :]) @ W_m) * np.swapaxes(W_m_t @ W_p, 1, 2)
+    phases_p = np.exp(-1j * times[:, None] * energies_p[:, None, :])
+    phases_m = np.exp(-1j * times[:, None] * energies_m[:, None, :])
+    factors = ((phases_p @ overlap) * phases_m.conj()).sum(axis=2)
+    decay = np.exp(-2j * e1 * times) * np.prod(factors, axis=0)
 
     rot0 = _HADAMARD @ varrho0_S @ _HADAMARD
     rot = np.repeat(rot0[None], times.size, axis=0)
@@ -236,19 +256,20 @@ def brute_force_dynamics(
     rot[:, 1, 0] *= decay.conj()
     states = _HADAMARD @ rot @ _HADAMARD
 
-    # bath populations diag(U omega U^dag) of each sector, on the top levels only
+    # each sector's bath state is a product; a mode's top-level population
+    # is |<top|U_n|k>|^2 weighted by omega_n, and some mode is at its top
+    # level with probability 1 - prod_n (1 - p_n)
     fock_tail = 0.0
-    top = _top_level_mask(bath_scaled)
     if times.size:
         for pop, W, phases in (
-            (rot0[0, 0].real, W_p, phases_p[-1]),
-            (rot0[1, 1].real, W_m, phases_m[-1]),
+            (rot0[0, 0].real, W_p, phases_p[:, -1]),
+            (rot0[1, 1].real, W_m, phases_m[:, -1]),
         ):
-            U_top = (W[top] * phases) @ W.conj().T
-            fock_tail += pop * float(np.sum(np.abs(U_top) ** 2 @ omega))
+            U_top = np.einsum("nj,nkj->nk", W[:, -1, :] * phases, W)
+            p_top = (np.abs(U_top) ** 2 * pops).sum(axis=1)
+            fock_tail += pop * float(-np.expm1(np.log1p(-p_top).sum()))
 
-    for i, s in enumerate(states):
-        require_density_matrix(s, tol=1e-9, name=f"reduced state at t={times[i]}")
+    require_density_matrix(states, tol=1e-9, name="reduced state")
     if fock_tail > TAIL_THRESHOLD:
         warnings.warn(
             f"dynamical Fock-tail population {fock_tail:.3e} at t={times[-1]:.3g} "

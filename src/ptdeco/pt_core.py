@@ -308,8 +308,42 @@ def map_observable(O, cmap: CanonicalMap) -> np.ndarray:
     return cmap.T @ O @ cmap.T_inv
 
 
+def _require_density_stack(rho: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """The checks of :func:`require_density_matrix` on a ``(k, n, n)`` stack,
+    one array pass each; the first failing matrix is re-checked alone, so
+    its error names it as ``name[i]``."""
+    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
+        raise ValueError(f"{name} contains non-finite entries")
+    if rho.shape[1] != rho.shape[2]:
+        raise NotDensityMatrix(f"{name} must be a stack of square matrices, got {rho.shape}")
+    if rho.shape[0] == 0:
+        return rho
+    rho_h = np.swapaxes(rho, 1, 2).conj()
+    defect = rho - rho_h
+    # An exactly zero defect passes any tolerance; take norms of the rest only.
+    bad = defect.reshape(rho.shape[0], -1).any(axis=1)
+    if bad.any():
+        idx = np.flatnonzero(bad)
+        scale = np.maximum(np.linalg.norm(rho[idx], 2, axis=(1, 2)), 1.0)
+        bad[idx] = np.linalg.norm(defect[idx], 2, axis=(1, 2)) > tol * scale
+    traces = np.trace(rho, axis1=1, axis2=2).real
+    bad |= np.abs(traces - 1.0) > max(tol, 1e-12)
+    evals = np.linalg.eigvalsh((rho + rho_h) / 2.0)
+    bad |= evals.min(axis=1) < -max(tol, 1e-10)
+    for i in np.flatnonzero(bad):
+        require_density_matrix(rho[i], tol, f"{name}[{i}]")
+    return rho
+
+
 def require_density_matrix(rho, tol: float = DEFAULT_TOL, name: str = "state") -> np.ndarray:
-    """Validate hermiticity, positivity, and unit trace of a density matrix."""
+    """Validate hermiticity, positivity, and unit trace of a density matrix.
+
+    A ``(k, n, n)`` stack is validated as a whole, with the same tolerances
+    per matrix; an error names the first failing matrix as ``name[i]``.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim == 3:
+        return _require_density_stack(rho, tol, name)
     rho = as_cmatrix(rho, name)
     if rho.shape[0] != rho.shape[1]:
         raise NotDensityMatrix(f"{name} must be square, got {rho.shape}")
@@ -329,9 +363,10 @@ def map_state_back(varrho, cmap: CanonicalMap, tol: float = DEFAULT_TOL) -> np.n
     """Pull a hermitian-representation state back: rho = T^{-1} varrho T.
 
     The output is the PT-representation state; it keeps the trace but is
-    generally not hermitian.
+    generally not hermitian. A ``(k, n, n)`` stack of states is validated
+    and mapped as a whole.
     """
     varrho = require_density_matrix(varrho, tol, "varrho")
-    if varrho.shape != cmap.T.shape:
+    if varrho.shape[-2:] != cmap.T.shape:
         raise DimensionMismatch(f"state shape {varrho.shape} != {cmap.T.shape}")
     return cmap.T_inv @ varrho @ cmap.T

@@ -158,3 +158,36 @@ def choi_loops(ops, dim_s: int) -> np.ndarray:
             for n in range(d2):
                 choi[m, n] += vec[m] * np.conj(vec[n])
     return choi
+
+
+def sector_dynamics_dense(H_B, V_B, omega_diag, e1, rho0, times, fock_dim, n_modes):
+    """Reduced qubit states and top-level Fock tail from the full bath space.
+
+    ``h_pm = H_B pm E1 (I + V_B)``, one ``eigh`` of size ``d_F^N`` each,
+    ``rho_+-(t) = rho_+-(0) Tr[U_+ omega U_-^dag]`` in the sigma_x basis,
+    and the tail read off the bath populations of each sector at the last
+    time on the basis states with some mode at its top level.
+    """
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    times = np.asarray(times, dtype=float)
+    shift = e1 * (np.eye(H_B.shape[0]) + V_B)
+    sectors = [np.linalg.eigh(H_B + shift), np.linalg.eigh(H_B - shift)]
+    (w_p, W_p), (w_m, W_m) = sectors
+    rot0 = hadamard @ rho0 @ hadamard
+    states = []
+    for t in times:
+        U_p = (W_p * np.exp(-1j * w_p * t)) @ W_p.conj().T
+        U_m = (W_m * np.exp(-1j * w_m * t)) @ W_m.conj().T
+        decay = np.trace(U_p @ np.diag(omega_diag) @ U_m.conj().T)
+        rot = rot0.astype(complex)
+        rot[0, 1] *= decay
+        rot[1, 0] *= np.conj(decay)
+        states.append(hadamard @ rot @ hadamard)
+    levels = np.indices((fock_dim,) * n_modes).reshape(n_modes, -1)
+    top = np.any(levels == fock_dim - 1, axis=0)
+    tail = 0.0
+    for pop, (w, W) in zip((rot0[0, 0].real, rot0[1, 1].real), sectors):
+        U = (W * np.exp(-1j * w * times[-1])) @ W.conj().T
+        bath_pops = np.diag(U @ np.diag(omega_diag) @ U.conj().T).real
+        tail += pop * float(bath_pops[top].sum())
+    return np.array(states), tail

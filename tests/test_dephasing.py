@@ -218,6 +218,11 @@ class TestGammaDiscrete:
             dephasing.gamma_discrete([1.0, 2.0], [0.3, 0.1], None, 1.3)
         )
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, -math.inf])
+    def test_rejects_non_positive_beta(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            dephasing.gamma_discrete([1.0, 2.0], [0.3, 0.1], beta, np.linspace(0.0, 1.0, 3))
+
     @pytest.mark.parametrize("beta", [None, math.inf, 1e-6, 2e-5, 0.5, 40.0])
     def test_time_array_matches_scalar_calls_and_tanh_reference(self, beta):
         # beta = 1e-6 and 2e-5 put beta*w/2 below 1e-4 for every mode

@@ -8,7 +8,7 @@ from ptdeco.dephasing import DephasingModel, SpectralDensity
 from ptdeco.errors import DimensionCap, LengthMismatch, TruncationWarning
 
 from .conftest import count_calls
-from .oracles import expm_series, kron_loops, ptrace_env_loops
+from .oracles import expm_series, kron_loops, ptrace_env_loops, sector_dynamics_dense
 
 pytestmark = pytest.mark.filterwarnings("ignore::ptdeco.errors.TruncationWarning")
 
@@ -75,6 +75,17 @@ class TestThermalState:
         for beta in (0.3, 1.0, 10.0):
             omega = oracle.thermal_state(bath, beta, tail_threshold=1.0)
             assert abs(np.trace(omega).real - 1.0) <= 1e-14
+
+    def test_product_of_mode_populations(self):
+        bath = oracle.DiscreteBath(omegas=[0.4, 1.3, 2.2], gs=[0.1] * 3, fock_dim=3)
+        beta = 0.7
+        diag = np.ones(1)
+        for w in bath.omegas:
+            p = np.exp(-beta * w * np.arange(3))
+            diag = kron_loops(diag.reshape(1, -1), (p / p.sum()).reshape(1, -1)).ravel()
+        with pytest.warns(TruncationWarning):
+            omega = oracle.thermal_state(bath, beta)
+        np.testing.assert_allclose(omega, np.diag(diag), rtol=1e-15, atol=0.0)
 
     def test_truncation_warning(self):
         bath = oracle.DiscreteBath(omegas=[0.5], gs=[0.1], fock_dim=3)
@@ -245,6 +256,89 @@ class TestDenseReference:
             for rho_t, ref in zip(states, ref_states):
                 np.testing.assert_allclose(rho_t, ref, rtol=0.0, atol=1e-12)
             assert abs(tail - ref_tail) <= 1e-14
+
+
+class TestFactorizedSectors:
+    """The per-mode factorized sectors against the full bath space: dense
+    ``bath_operators`` and ``thermal_state`` and one bath-sized ``eigh``
+    per sector."""
+
+    @pytest.mark.parametrize("n_modes, fock_dim", [(1, 2), (3, 5), (4, 4), (3, 6)])
+    @pytest.mark.parametrize("beta", [0.5, math.inf])
+    @pytest.mark.parametrize("rescale", [False, True])
+    def test_matches_dense_sectors(self, rng, n_modes, fock_dim, beta, rescale):
+        from .conftest import random_density_matrix
+
+        bath = oracle.discretize_bath(
+            oracle.DEFAULT_SPECTRAL, n_modes=n_modes, omega_max=15.0, fock_dim=fock_dim
+        )
+        times = np.linspace(0.0, 5.0, 11)
+        for alpha in (0.0, 0.6, -0.3, 1.0):
+            e1, _ = dephasing.qubit_energies(alpha)
+            if rescale and e1 == 0.0:
+                continue
+            gs = bath.gs / abs(e1) if rescale else bath.gs
+            scaled = oracle.DiscreteBath(omegas=bath.omegas, gs=gs, fock_dim=fock_dim)
+            H_B, V_B = oracle.bath_operators(scaled)
+            omega = np.diag(oracle.thermal_state(scaled, beta)).real
+            for rho0 in (oracle.DEFAULT_INITIAL_STATE, random_density_matrix(rng, 2)):
+                states, tail = oracle.brute_force_dynamics(
+                    alpha, bath, beta, rho0, times, rescale_coupling=rescale
+                )
+                ref_states, ref_tail = sector_dynamics_dense(
+                    H_B, V_B, omega, e1, rho0, times, fock_dim, n_modes
+                )
+                np.testing.assert_allclose(states, ref_states, rtol=0.0, atol=1e-13)
+                assert abs(tail - ref_tail) <= 1e-14
+
+    def test_two_mode_sized_eighs_and_no_bath_space(self, monkeypatch):
+        bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=3, omega_max=15.0, fock_dim=5)
+        eighs = count_calls(monkeypatch, np.linalg, "eigh")
+        dense = count_calls(monkeypatch, oracle, "bath_operators")
+        thermal = count_calls(monkeypatch, oracle, "thermal_state")
+        oracle.brute_force_dynamics(
+            0.6, bath, 0.5, oracle.DEFAULT_INITIAL_STATE, np.linspace(0.0, 5.0, 21)
+        )
+        assert eighs == [(3, 5, 5), (3, 5, 5)]
+        assert dense == [] and thermal == []
+
+    def test_one_stacked_state_check(self, monkeypatch):
+        calls = count_calls(monkeypatch, oracle, "require_density_matrix")
+        bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=15.0, fock_dim=4)
+        oracle.brute_force_dynamics(
+            0.6, bath, 0.5, oracle.DEFAULT_INITIAL_STATE, np.linspace(0.0, 5.0, 21)
+        )
+        assert calls == [(2, 2), (21, 2, 2)]
+
+    def test_thermal_warning_once_per_call(self):
+        bath = oracle.DiscreteBath(omegas=[0.5, 0.9], gs=[0.1, 0.1], fock_dim=3)
+        with pytest.warns(TruncationWarning) as record:
+            oracle.brute_force_dynamics(
+                0.6, bath, 0.2, oracle.DEFAULT_INITIAL_STATE, [0.0, 1.0]
+            )
+        thermal = [w for w in record if "thermal tail" in str(w.message)]
+        assert len(thermal) == 1
+        assert thermal[0].filename == oracle.__file__
+        with pytest.warns(TruncationWarning) as record:
+            oracle.thermal_state(bath, 0.2)
+        assert len(record) == 1
+        assert record[0].filename == __file__  # points at the caller
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_beta(self, beta):
+        bath = oracle.DiscreteBath(omegas=[1.0], gs=[0.1], fock_dim=3)
+        with pytest.raises(ValueError, match="beta"):
+            oracle.brute_force_dynamics(0.6, bath, beta, oracle.DEFAULT_INITIAL_STATE, [0.0])
+        with pytest.raises(ValueError, match="beta"):
+            oracle.thermal_state(bath, beta)
+
+    def test_rejects_a_stack_as_initial_state(self):
+        from ptdeco.errors import DimensionMismatch
+
+        bath = oracle.DiscreteBath(omegas=[1.0], gs=[0.1], fock_dim=3)
+        stack = np.repeat(oracle.DEFAULT_INITIAL_STATE[None], 2, axis=0)
+        with pytest.raises(DimensionMismatch):
+            oracle.brute_force_dynamics(0.6, bath, 1.0, stack, [0.0, 1.0])
 
 
 class TestFitDecayConstant:

@@ -562,3 +562,101 @@ class TestExactDefectSkipsNorms:
         assert len(calls) == 2
         with pytest.raises(NotPtSymmetric):
             PtHamiltonian(H=SZ, P=1.001 * SX)
+
+
+class TestStackedDensityCheck:
+    """A ``(k, n, n)`` stack passes or fails exactly as the per-matrix loop
+    does, and an error names the first failing matrix."""
+
+    @staticmethod
+    def loop_verdict(stack, tol=linalg.DEFAULT_TOL):
+        for i, rho in enumerate(stack):
+            try:
+                pt_core.require_density_matrix(rho, tol, f"s[{i}]")
+            except NotDensityMatrix as exc:
+                return str(exc)
+        return None
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_valid_stack_agrees_with_loop(self, rng, dim, monkeypatch):
+        skew = random_hermitian(rng, dim) * 1j
+        stack = np.array([random_density_matrix(rng, dim) for _ in range(7)])
+        stack[2] = stack[2] + 1e-13 * skew  # measured defect, within tol
+        stack[4] = np.eye(dim) / dim  # exactly hermitian
+        assert self.loop_verdict(stack) is None
+        per_matrix = count_calls(monkeypatch, pt_core, "norm2")
+        out = pt_core.require_density_matrix(stack, name="s")
+        assert per_matrix == []  # no matrix re-checked alone
+        assert out.shape == stack.shape and out.dtype == complex
+        np.testing.assert_array_equal(out, stack)
+
+    def test_real_stack_is_returned_complex(self):
+        stack = np.repeat(np.diag([0.25, 0.75])[None], 3, axis=0)
+        out = pt_core.require_density_matrix(stack)
+        assert out.dtype == complex
+        np.testing.assert_array_equal(out, stack)
+
+    @pytest.mark.parametrize("kind", ["hermiticity", "trace", "negative"])
+    def test_failure_names_first_bad_index(self, rng, kind):
+        stack = np.array([random_density_matrix(rng, 3) for _ in range(6)])
+        skew = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=complex)
+        bad = {
+            "hermiticity": lambda r: r + 1e-3 * skew,
+            "trace": lambda r: 1.01 * r,
+            "negative": lambda r: np.diag([1.2, -0.1, -0.1]).astype(complex),
+        }[kind]
+        for i in (4, 1):  # index 1 is the first bad one
+            stack[i] = bad(stack[i])
+        expected = self.loop_verdict(stack)
+        assert expected is not None and expected.startswith("s[1]")
+        with pytest.raises(NotDensityMatrix) as info:
+            pt_core.require_density_matrix(stack, name="s")
+        assert str(info.value) == expected
+
+    def test_first_bad_index_over_all_kinds(self, rng):
+        # a later trace failure does not hide an earlier negative eigenvalue
+        stack = np.array([random_density_matrix(rng, 2) for _ in range(5)])
+        stack[3] = 2.0 * stack[3]
+        stack[2] = np.diag([1.5, -0.5])
+        with pytest.raises(NotDensityMatrix, match=r"^s\[2\] has negative eigenvalue"):
+            pt_core.require_density_matrix(stack, name="s")
+
+    def test_empty_stack_passes(self):
+        out = pt_core.require_density_matrix(np.zeros((0, 3, 3)))
+        assert out.shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries(self, rng, value):
+        stack = np.array([random_density_matrix(rng, 2) for _ in range(3)])
+        stack[1, 0, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            pt_core.require_density_matrix(stack)
+
+    def test_non_square_stack(self):
+        with pytest.raises(NotDensityMatrix):
+            pt_core.require_density_matrix(np.zeros((2, 2, 3)))
+
+    def test_tolerance_is_per_matrix(self, rng):
+        rho = random_density_matrix(rng, 2)
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+        stack = np.array([rho, rho + 1e-9 * skew])
+        with pytest.raises(NotDensityMatrix, match=r"^s\[1\] is not hermitian"):
+            pt_core.require_density_matrix(stack, name="s")
+        pt_core.require_density_matrix(stack, tol=1e-8, name="s")
+
+    def test_map_state_back_stack_matches_per_state(self, rng):
+        cmap = pt_core.canonical_transform(pt_qubit(0.6))
+        stack = np.array([random_density_matrix(rng, 2) for _ in range(9)])
+        out = pt_core.map_state_back(stack, cmap)
+        assert out.shape == (9, 2, 2)
+        for rho_pt, rho in zip(out, stack):
+            np.testing.assert_array_equal(rho_pt, pt_core.map_state_back(rho, cmap))
+
+    def test_map_state_back_stack_checks(self, rng):
+        cmap = pt_core.canonical_transform(pt_qubit(0.6))
+        stack = np.array([random_density_matrix(rng, 2) for _ in range(3)])
+        stack[2] = np.diag([2.0, -1.0])
+        with pytest.raises(NotDensityMatrix, match=r"^varrho\[2\]"):
+            pt_core.map_state_back(stack, cmap)
+        with pytest.raises(DimensionMismatch):
+            pt_core.map_state_back(np.repeat(np.eye(3)[None] / 3, 2, axis=0), cmap)
