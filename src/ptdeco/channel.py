@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NotDensityMatrix, NotHermitian
-from .linalg import DEFAULT_TOL, as_cmatrix, norm2
+from .errors import DimensionMismatch, NotHermitian
+from .linalg import DEFAULT_TOL, Norm2, as_cmatrix, norm2, norm2_le
 from .pt_core import CanonicalMap, require_density_matrix
 
 #: Eigenvalue weights of Omega_B at or below this are dropped from the
@@ -114,9 +114,13 @@ def build_composite(h_S, H_B, V_S, V_B, tol: float = DEFAULT_TOL) -> CompositeMo
     h_I = linalg.kron(V_S, V_B)
     # [h_S (x) I, V_S (x) V_B] = [h_S, V_S] (x) V_B and ||A (x) B|| = ||A|| ||B||,
     # so the composite-space test runs on the factors
-    norm_V_B = norm2(V_B)
-    scale = max(norm2(h_S) * max(norm2(V_S) * norm_V_B, 1.0), 1.0)
-    dephasing = norm2(h_S @ V_S - V_S @ h_S) * norm_V_B <= tol * scale
+    dephasing = norm2_le(
+        lambda comm, v_b, h, v_s: (comm * v_b, tol * max(h * max(v_s * v_b, 1.0), 1.0)),
+        Norm2(h_S @ V_S - V_S @ h_S),
+        Norm2(V_B),
+        Norm2(h_S),
+        Norm2(V_S),
+    )
     return CompositeModel(
         h_S=h_S, H_B=H_B, h_I=h_I, dim_S=dim_S, dim_B=dim_B, dephasing=dephasing
     )

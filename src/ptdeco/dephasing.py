@@ -119,6 +119,8 @@ def qubit_transform(alpha: float) -> CanonicalMap:
     scalar gauge (det T = 2 sqrt(1 - alpha^2)), which agrees with
     pt_core.canonical_transform up to a positive scalar.
     """
+    if math.isnan(alpha):
+        raise ValueError("alpha is NaN")
     if abs(alpha) > 1.0:
         raise BrokenPhase(f"|alpha| = {abs(alpha)} > 1: no canonical map")
     if abs(alpha) == 1.0:
@@ -212,13 +214,20 @@ def _gamma_values(
     return np.maximum(value, 0.0), bound
 
 
+def _require_time(t: float) -> None:
+    """ValueError unless t is a finite time >= 0."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if t < 0.0:
+        raise ValueError("t must be >= 0")
+
+
 def gamma_integral(
     model: DephasingModel, t: float, tol: float = DEFAULT_GAMMA_TOL
 ) -> GammaResult:
     """Bath integral gamma(t); the error bound satisfies
     ``err <= tol * max(1, gamma)`` or :class:`QuadratureFailure` is raised."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    _require_time(t)
     if t == 0.0:
         return GammaResult(0.0, 0.0, 0)
     value, bound = _gamma_values(model.spectral, model.beta, [t], tol)
@@ -246,6 +255,7 @@ def decoherence_function(
     model: DephasingModel, t: float, tol: float = DEFAULT_GAMMA_TOL
 ) -> float:
     """D(t) = exp(-E1^2 gamma(t)), with D identically 1 at |alpha| = 1."""
+    _require_time(t)
     e1, _ = qubit_energies(model.alpha)
     if t == 0.0 or e1 == 0.0:
         return 1.0
@@ -308,8 +318,7 @@ def evolve_exact(
     Computes D(t) from the bath integral and applies
     :func:`evolve_exact_given_d`; see there for the admissible-state check.
     """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    _require_time(t)
     e1, _ = qubit_energies(model.alpha)
     d = decoherence_function(model, t, tol)
     return evolve_exact_given_d(varrho0, e1, t, d)
@@ -345,6 +354,8 @@ def sweep_alpha(
         raise ValueError("alphas must not be NaN")
     if np.any(np.abs(alphas) > 1.0):
         raise BrokenPhase("sweep requires |alpha| <= 1")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be ascending and nonnegative")
 

@@ -9,6 +9,7 @@ system factor first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,11 @@ DEFAULT_DIM_CAP = 2**16
 #: non-diagonalizable (exceptional-point proximity).
 OVERLAP_FLOOR = 1e-8
 
+#: Relative widening of the Frobenius bounds on a spectral norm: far above
+#: the rounding of a Frobenius sum or an SVD, far below the distance of a
+#: rounding-level defect (~1e-15 ||H||) from a tolerance (1e-10 ||H||).
+NORM_MARGIN = 1e-6
+
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-D complex array, rejecting NaN/Inf entries."""
@@ -48,17 +54,81 @@ def _require_square(m: np.ndarray, name: str = "matrix") -> int:
 
 
 def norm2(a: np.ndarray) -> float:
-    """Spectral norm, the scale used by every relative tolerance here."""
+    """Spectral norm, one SVD.
+
+    Every relative tolerance here is stated in spectral norms, but a test
+    that only decides takes them as :class:`Norm2` bounds through
+    :func:`norm2_le`, which calls this only where the bounds straddle the
+    threshold. Reported values, such as a Kraus completeness defect, call
+    it directly.
+    """
     return float(np.linalg.norm(a, 2))
+
+
+class Norm2:
+    """``||a||_2`` held as bounds ``lo <= ||a||_2 <= hi``.
+
+    They come from the Frobenius norm, ``||a||_F / sqrt(min(m, n)) <=
+    ||a||_2 <= ||a||_F``, widened by ``NORM_MARGIN``. A Frobenius norm
+    outside [1e-100, 1e100] may have lost its sum of squares to under- or
+    overflow, so it gives no bounds. :meth:`exact` takes the SVD once and
+    then pins both bounds to its value.
+    """
+
+    __slots__ = ("a", "lo", "hi", "_exact")
+
+    def __init__(self, a):
+        self.a = np.asarray(a)
+        self._exact = None
+        with np.errstate(over="ignore"):
+            f = float(np.linalg.norm(self.a))
+        if 1e-100 < f < 1e100:
+            self.lo = f / math.sqrt(min(self.a.shape)) * (1.0 - NORM_MARGIN)
+            self.hi = f * (1.0 + NORM_MARGIN)
+        elif self.a.any():
+            self.lo, self.hi = 0.0, math.inf
+        else:
+            self._exact = self.lo = self.hi = 0.0
+
+    def exact(self) -> float:
+        if self._exact is None:
+            self._exact = self.lo = self.hi = norm2(self.a)
+        return self._exact
+
+
+def norm2_le(rule, *norms: Norm2) -> bool:
+    """``lhs <= rhs`` for ``(lhs, rhs) = rule(*values)`` at the spectral norms
+    that ``norms`` hold.
+
+    Both sides must be nondecreasing in every value. Then ``rule`` at the
+    upper bounds gives the largest ``lhs`` and at the lower bounds the
+    smallest ``rhs`` (and the other way round), so the bounds settle the
+    test unless they straddle it. Only then are the exact norms taken, and
+    the outcome is always the one the exact norms give.
+    """
+    lhs_hi, rhs_hi = rule(*(n.hi for n in norms))
+    lhs_lo, rhs_lo = rule(*(n.lo for n in norms))
+    if lhs_hi <= rhs_lo:
+        return True
+    if lhs_lo > rhs_hi:
+        return False
+    lhs, rhs = rule(*(n.exact() for n in norms))
+    return bool(lhs <= rhs)
+
+
+def within(tol: float):
+    """The rule ``defect <= tol * max(scale, 1)`` for :func:`norm2_le`, with
+    both ``defect`` and ``scale`` spectral norms."""
+    return lambda defect, scale: (defect, tol * max(scale, 1.0))
 
 
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     a = np.asarray(a)
     defect = a - a.conj().T
-    # An exactly zero defect passes any tolerance; skip both SVDs.
+    # An exactly zero defect passes any tolerance; skip the norms.
     if not defect.any():
         return True
-    return bool(norm2(defect) <= tol * max(norm2(a), 1.0))
+    return norm2_le(within(tol), Norm2(defect), Norm2(a))
 
 
 @dataclass(frozen=True)
@@ -129,9 +199,10 @@ def eig_general(A, tol: float = DEFAULT_TOL) -> EigSystem:
             f"minimal left/right overlap {min_overlap:.3e} below {OVERLAP_FLOOR:.0e}"
         )
 
-    scale = max(norm2(A), 1.0)
     resid = np.linalg.norm(A @ vr - vr * values, axis=0)
-    if np.any(resid > tol * scale):
+    # the largest residual, NaN-blind like an elementwise resid > tol*||A||
+    worst = float(np.fmax.reduce(resid, initial=0.0))
+    if not norm2_le(lambda s: (worst, tol * max(s, 1.0)), Norm2(A)):
         raise NonDiagonalizable(
             f"eigenpair residual {float(resid.max()):.3e} exceeds tol*||A||"
         )

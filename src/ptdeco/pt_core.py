@@ -31,7 +31,7 @@ from .errors import (
     NotHermitian,
     NotPtSymmetric,
 )
-from .linalg import DEFAULT_TOL, as_cmatrix, norm2
+from .linalg import DEFAULT_TOL, Norm2, as_cmatrix, norm2, norm2_le, within
 
 #: Spectral-reality classification threshold (relative to ||H||).
 DEFAULT_EPS_SPEC = 1e-9
@@ -66,7 +66,9 @@ class PtHamiltonian:
         if not linalg.is_hermitian(P):
             raise NotHermitian("parity operator P must be hermitian")
         defect = P @ P - np.eye(n)
-        if defect.any() and norm2(defect) > DEFAULT_TOL * max(norm2(P) ** 2, 1.0):
+        if defect.any() and not norm2_le(
+            lambda d, p: (d, DEFAULT_TOL * max(p**2, 1.0)), Norm2(defect), Norm2(P)
+        ):
             raise NotPtSymmetric("parity operator P must square to the identity")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "P", P)
@@ -123,11 +125,13 @@ class CanonicalMap:
     condition: float
 
 
-def _scale(ham: PtHamiltonian) -> float:
-    """max(||H||_2, 1), the scale of every relative tolerance on H; computed once."""
+def _scale(ham: PtHamiltonian) -> Norm2:
+    """||H||_2, whose max(., 1) scales every relative tolerance on H, held
+    once per instance as bounds; its SVD runs at most once, and only if a
+    test needs the exact value."""
     memo = ham._memo
     if "scale" not in memo:
-        memo["scale"] = max(norm2(ham.H), 1.0)
+        memo["scale"] = Norm2(ham.H)
     return memo["scale"]
 
 
@@ -159,9 +163,9 @@ def check_pt_symmetry(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> bool:
     H, P = ham.H, ham.P
     scale = _scale(ham)
     Hd = H.conj().T
-    parity_ok = norm2(P @ H @ P - Hd) <= tol * scale
-    time_ok = norm2(H.conj() - Hd) <= tol * scale
-    return bool(parity_ok and time_ok)
+    rule = within(tol)
+    parity_ok = norm2_le(rule, Norm2(P @ H @ P - Hd), scale)
+    return parity_ok and norm2_le(rule, Norm2(H.conj() - Hd), scale)
 
 
 def spectrum(ham: PtHamiltonian, eps_spec: float = DEFAULT_EPS_SPEC) -> SpectrumReport:
@@ -172,7 +176,8 @@ def spectrum(ham: PtHamiltonian, eps_spec: float = DEFAULT_EPS_SPEC) -> Spectrum
         values = np.linalg.eigvals(ham.H)
         order = np.lexsort((values.imag, values.real))
         return SpectrumReport(values[order], PhaseClass.EXCEPTIONAL_POINT)
-    if float(np.max(np.abs(values.imag))) <= eps_spec * _scale(ham):
+    imag = float(np.max(np.abs(values.imag)))
+    if norm2_le(lambda s: (imag, eps_spec * max(s, 1.0)), _scale(ham)):
         cls = PhaseClass.REAL
     else:
         cls = PhaseClass.COMPLEX_PAIRS
@@ -198,13 +203,11 @@ def biorthonormal_basis(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> Biortho
     _require_unbroken(ham, DEFAULT_EPS_SPEC)
     eig = _eigensystem(ham, tol)
     energies = eig.values.real.copy()
-    scale = _scale(ham)
 
-    gaps = np.diff(energies)
-    if energies.size > 1 and float(np.min(gaps)) <= DEFAULT_EPS_SPEC * scale:
-        raise DegenerateSpectrum(
-            f"minimal level spacing {float(np.min(gaps)):.3e} is degenerate"
-        )
+    if energies.size > 1:
+        gap = float(np.min(np.diff(energies)))
+        if norm2_le(lambda s: (gap, DEFAULT_EPS_SPEC * max(s, 1.0)), _scale(ham)):
+            raise DegenerateSpectrum(f"minimal level spacing {gap:.3e} is degenerate")
 
     Ppsi = ham.P @ eig.right
     c = np.einsum("in,in->n", eig.right.conj(), Ppsi)
@@ -293,7 +296,7 @@ def hermitian_representation(
     """h = T H T^{-1}, returned as its exact hermitian part (h + h^dag)/2;
     raises NotHermitian if the defect exceeds tol*||H||."""
     h = cmap.T @ ham.H @ cmap.T_inv
-    if norm2(h - h.conj().T) > tol * _scale(ham):
+    if not norm2_le(within(tol), Norm2(h - h.conj().T), _scale(ham)):
         raise NotHermitian(
             "T H T^-1 is not hermitian within tol; T does not match this H"
         )

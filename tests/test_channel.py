@@ -46,12 +46,17 @@ class TestBuildComposite:
 
     @pytest.mark.parametrize("dim_s, dim_b", [(2, 8), (4, 32)])
     def test_norms_are_factor_sized(self, rng, monkeypatch, dim_s, dim_b):
+        # no composite-sized norm of either kind: the spectral norms of the
+        # exact fallback and the Frobenius norms of the bounds both stay on
+        # the factors
         here = count_calls(monkeypatch, channel, "norm2")
-        inside = count_calls(monkeypatch, linalg, "norm2")  # is_hermitian's
+        inside = count_calls(monkeypatch, linalg, "norm2")
+        frobenius = count_calls(monkeypatch, np.linalg, "norm")
         for dephasing in (True, False):
             small_model(rng, dim_s, dim_b, dephasing)
-        assert here
-        assert max(max(shape) for shape in here + inside) <= max(dim_s, dim_b)
+        assert frobenius
+        norms = here + inside + frobenius
+        assert max(max(shape) for shape in norms) <= max(dim_s, dim_b)
 
     def test_dephasing_flag_matches_composite_space_test(self, rng):
         # kinds: commuting, non-commuting, and a commuting V_S pushed off by

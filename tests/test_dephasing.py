@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,10 @@ class TestQubitTransform:
 
     def test_condition_diverges(self):
         assert dephasing.qubit_transform(0.999999).condition > 1e3
+
+    def test_nan_alpha(self):
+        with pytest.raises(ValueError, match="alpha is NaN"):
+            dephasing.qubit_transform(math.nan)
 
 
 class TestGammaIntegral:
@@ -334,6 +339,34 @@ class TestEvolveExact:
         bad2 = np.diag([0.7, 0.3])
         with pytest.raises(InconsistentInitialState):
             dephasing.evolve_exact(model, bad2, 1.0)
+
+
+class TestNonFiniteTime:
+    """A NaN or infinite time is a ValueError, with no numpy warning, at
+    every entry point that takes t."""
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_scalar_entry_points(self, t, alpha):
+        model = fig1_model(alpha)
+        rho0 = np.array([[0.5, 0.2j], [-0.2j, 0.5]])
+        calls = [
+            lambda: dephasing.gamma_integral(model, t),
+            lambda: dephasing.decoherence_function(model, t),
+            lambda: dephasing.evolve_exact(model, rho0, t),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="finite"):
+                    call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sweep_times(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                dephasing.sweep_alpha([0.0], [0.0, 1.0, bad], FIG1_SPECTRAL, FIG1_BETA)
 
 
 class TestEvolveExactGivenD:

@@ -196,7 +196,7 @@ class TestIsHermitian:
         assert linalg.is_hermitian(h)
         assert calls == []
         assert linalg.is_hermitian(h + 1e-13 * skew)
-        assert len(calls) == 2
+        assert calls == []  # settled by the Frobenius bounds
         assert not linalg.is_hermitian(h + 1e-3 * skew)
 
 
