@@ -50,33 +50,39 @@ class CompositeModel:
 class KrausChannel:
     """Operator-sum channel, either hermitian {K_i} or PT {(L_i, R_i)}.
 
-    ``completeness_defect`` is the norm of ``sum K_i^dag K_i - I`` (or of
-    ``sum L_i R_i - I``) as built, including any weight-cut truncation.
+    ``ops`` is held as a read-only complex array of shape ``(k, d, d)`` for
+    the hermitian kind and ``(k, 2, d, d)`` of ``(L, R)`` pairs for the PT
+    kind; ``k`` may be 0. ``completeness_defect`` is the norm of
+    ``sum K_i^dag K_i - I`` (or of ``sum L_i R_i - I``) as built, including
+    any weight-cut truncation.
     """
 
     kind: str  # "hermitian" | "pt"
-    ops: tuple
+    ops: np.ndarray
     dim_S: int
     completeness_defect: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("hermitian", "pt"):
             raise ValueError(f"unknown channel kind {self.kind!r}")
+        d = self.dim_S
+        shape = (d, d) if self.kind == "hermitian" else (2, d, d)
+        ops = np.array(self.ops, dtype=complex)
+        if ops.shape == (0,):
+            ops = ops.reshape(0, *shape)
+        if ops.shape[1:] != shape:
+            raise DimensionMismatch(
+                f"{self.kind} Kraus operators must each be {shape}, got {ops.shape[1:]}"
+            )
+        ops.flags.writeable = False
+        object.__setattr__(self, "ops", ops)
 
     def normalization(self) -> np.ndarray:
         """sum K_i^dag K_i for hermitian kind, sum L_i R_i for PT kind."""
-        ops = _stacked(self)
+        ops = self.ops
         if self.kind == "hermitian":
             return _op_sum(_dagger(ops), ops)
         return _op_sum(ops[:, 0], ops[:, 1])
-
-
-def _stacked(channel: KrausChannel) -> np.ndarray:
-    """The operators as one array: (k, d, d) for hermitian kind, (k, 2, d, d)
-    of (L, R) pairs for PT kind; k may be 0."""
-    d = channel.dim_S
-    shape = (d, d) if channel.kind == "hermitian" else (2, d, d)
-    return np.array(channel.ops, dtype=complex).reshape(-1, *shape)
 
 
 def _dagger(ops: np.ndarray) -> np.ndarray:
@@ -188,9 +194,7 @@ def kraus_extract(
     K = K[np.sum(np.abs(K) ** 2, axis=(1, 2)) > weight_cut]
 
     defect = norm2(_op_sum(_dagger(K), K) - np.eye(d_S))
-    return KrausChannel(
-        kind="hermitian", ops=tuple(K), dim_S=d_S, completeness_defect=defect
-    )
+    return KrausChannel(kind="hermitian", ops=K, dim_S=d_S, completeness_defect=defect)
 
 
 def pt_kraus(channel: KrausChannel, cmap: CanonicalMap) -> KrausChannel:
@@ -199,12 +203,15 @@ def pt_kraus(channel: KrausChannel, cmap: CanonicalMap) -> KrausChannel:
         raise ValueError("pt_kraus expects a hermitian-kind channel")
     if cmap.T.shape[0] != channel.dim_S:
         raise DimensionMismatch("canonical map dimension does not match channel")
-    K = _stacked(channel)
+    K = channel.ops
     L = cmap.T_inv @ K @ cmap.T
     R = cmap.T_inv @ _dagger(K) @ cmap.T
     defect = norm2(_op_sum(L, R) - np.eye(channel.dim_S))
     return KrausChannel(
-        kind="pt", ops=tuple(zip(L, R)), dim_S=channel.dim_S, completeness_defect=defect
+        kind="pt",
+        ops=np.stack((L, R), axis=1),
+        dim_S=channel.dim_S,
+        completeness_defect=defect,
     )
 
 
@@ -215,7 +222,7 @@ def apply_channel(channel: KrausChannel, state) -> np.ndarray:
         raise DimensionMismatch(
             f"state shape {state.shape} != channel dim {channel.dim_S}"
         )
-    ops = _stacked(channel)
+    ops = channel.ops
     if channel.kind == "hermitian":
         return _op_sum(ops @ state, _dagger(ops))
     return _op_sum(ops[:, 0] @ state, ops[:, 1])
@@ -231,7 +238,7 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
         raise ValueError("Choi test applies to the hermitian representation")
     d = channel.dim_S
     # row k is the column-stacked vec(K_k)
-    vecs = _stacked(channel).transpose(0, 2, 1).reshape(-1, d * d)
+    vecs = channel.ops.transpose(0, 2, 1).reshape(-1, d * d)
     return vecs.T @ vecs.conj()
 
 

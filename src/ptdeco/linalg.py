@@ -232,14 +232,14 @@ def mat_sqrt_psd(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (root + root.conj().T) / 2.0
 
 
-def kron(A, B, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def kron(A, B) -> np.ndarray:
     """Kronecker product with a guard on the output dimensions."""
     A = as_cmatrix(A, "A")
     B = as_cmatrix(B, "B")
     rows = A.shape[0] * B.shape[0]
     cols = A.shape[1] * B.shape[1]
-    if rows > cap or cols > cap:
-        raise DimensionCap(f"kron output {rows}x{cols} exceeds cap {cap}")
+    if rows > DEFAULT_DIM_CAP or cols > DEFAULT_DIM_CAP:
+        raise DimensionCap(f"kron output {rows}x{cols} exceeds cap {DEFAULT_DIM_CAP}")
     return np.kron(A, B)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     NotHermitian,
     NotPtSymmetric,
 )
-from .linalg import DEFAULT_TOL, Norm2, as_cmatrix, norm2, norm2_le, within
+from .linalg import DEFAULT_TOL, Norm2, as_cmatrix, norm2_le, within
 
 #: Spectral-reality classification threshold (relative to ||H||).
 DEFAULT_EPS_SPEC = 1e-9
@@ -311,33 +311,6 @@ def map_observable(O, cmap: CanonicalMap) -> np.ndarray:
     return cmap.T @ O @ cmap.T_inv
 
 
-def _require_density_stack(rho: np.ndarray, tol: float, name: str) -> np.ndarray:
-    """The checks of :func:`require_density_matrix` on a ``(k, n, n)`` stack,
-    one array pass each; the first failing matrix is re-checked alone, so
-    its error names it as ``name[i]``."""
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if rho.shape[1] != rho.shape[2]:
-        raise NotDensityMatrix(f"{name} must be a stack of square matrices, got {rho.shape}")
-    if rho.shape[0] == 0:
-        return rho
-    rho_h = np.swapaxes(rho, 1, 2).conj()
-    defect = rho - rho_h
-    # An exactly zero defect passes any tolerance; take norms of the rest only.
-    bad = defect.reshape(rho.shape[0], -1).any(axis=1)
-    if bad.any():
-        idx = np.flatnonzero(bad)
-        scale = np.maximum(np.linalg.norm(rho[idx], 2, axis=(1, 2)), 1.0)
-        bad[idx] = np.linalg.norm(defect[idx], 2, axis=(1, 2)) > tol * scale
-    traces = np.trace(rho, axis1=1, axis2=2).real
-    bad |= np.abs(traces - 1.0) > max(tol, 1e-12)
-    evals = np.linalg.eigvalsh((rho + rho_h) / 2.0)
-    bad |= evals.min(axis=1) < -max(tol, 1e-10)
-    for i in np.flatnonzero(bad):
-        require_density_matrix(rho[i], tol, f"{name}[{i}]")
-    return rho
-
-
 def require_density_matrix(rho, tol: float = DEFAULT_TOL, name: str = "state") -> np.ndarray:
     """Validate hermiticity, positivity, and unit trace of a density matrix.
 
@@ -345,20 +318,36 @@ def require_density_matrix(rho, tol: float = DEFAULT_TOL, name: str = "state") -
     per matrix; an error names the first failing matrix as ``name[i]``.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 3:
-        return _require_density_stack(rho, tol, name)
-    rho = as_cmatrix(rho, name)
-    if rho.shape[0] != rho.shape[1]:
-        raise NotDensityMatrix(f"{name} must be square, got {rho.shape}")
-    # An exactly zero defect passes any tolerance; skip both SVDs.
-    defect = rho - rho.conj().T
-    if defect.any() and norm2(defect) > tol * max(norm2(rho), 1.0):
-        raise NotDensityMatrix(f"{name} is not hermitian within tol")
-    if abs(complex(np.trace(rho)).real - 1.0) > max(tol, 1e-12):
-        raise NotDensityMatrix(f"{name} trace {complex(np.trace(rho)):.6g} != 1")
-    evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if float(evals.min()) < -max(tol, 1e-10):
-        raise NotDensityMatrix(f"{name} has negative eigenvalue {float(evals.min()):.3e}")
+    if rho.ndim not in (2, 3):
+        raise DimensionMismatch(f"{name} must be 2-D, got ndim={rho.ndim}")
+    if not np.isfinite(rho).all():  # complex: both parts finite
+        raise ValueError(f"{name} contains non-finite entries")
+    if rho.shape[-1] != rho.shape[-2]:
+        what = "square" if rho.ndim == 2 else "a stack of square matrices"
+        raise NotDensityMatrix(f"{name} must be {what}, got {rho.shape}")
+    rho_h = rho.swapaxes(-1, -2).conj()
+    defect = rho - rho_h
+    # An exactly zero defect passes any tolerance; the 2-norms are taken only
+    # if some matrix has a nonzero one.
+    not_herm = defect.any(axis=(-2, -1))
+    if not_herm.any():
+        scale = np.maximum(np.linalg.norm(rho, 2, axis=(-2, -1)), 1.0)
+        not_herm &= np.linalg.norm(defect, 2, axis=(-2, -1)) > tol * scale
+    trace = rho.trace(axis1=-2, axis2=-1)
+    bad_trace = np.abs(trace.real - 1.0) > max(tol, 1e-12)
+    # a 0 x 0 matrix has no eigenvalues, and fails only on its trace
+    lowest = np.linalg.eigvalsh((rho + rho_h) / 2.0).min(axis=-1, initial=np.inf)
+    negative = lowest < -max(tol, 1e-10)
+    bad = not_herm | bad_trace | negative
+    if bad.any():
+        i = int(np.argmax(bad))
+        label = name if rho.ndim == 2 else f"{name}[{i}]"
+        if not_herm.flat[i]:
+            raise NotDensityMatrix(f"{label} is not hermitian within tol")
+        if bad_trace.flat[i]:
+            raise NotDensityMatrix(f"{label} trace {complex(trace.flat[i]):.6g} != 1")
+        low = float(lowest.flat[i])
+        raise NotDensityMatrix(f"{label} has negative eigenvalue {low:.3e}")
     return rho
 
 

@@ -62,6 +62,21 @@ def count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def count_spectral_norms(monkeypatch) -> list:
+    """Wrap ``np.linalg.norm`` so each spectral-norm call (``ord=2``, one SVD
+    per matrix) appends its first argument's shape to the returned list."""
+    calls = []
+    inner = np.linalg.norm
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return inner(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -282,6 +282,50 @@ class TestPtKraus:
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+class TestKrausOps:
+    """``KrausChannel.ops`` is one read-only complex array, ``(k, d, d)`` or
+    ``(k, 2, d, d)``, whatever sequence form the operators come in."""
+
+    @pytest.mark.parametrize("kind", ["hermitian", "pt"])
+    def test_input_forms_give_one_array(self, rng, kind):
+        shape = (3, 2, 2) if kind == "hermitian" else (3, 2, 2, 2)
+        ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        forms = [ops, tuple(ops), list(ops)]
+        if kind == "pt":
+            forms += [tuple(zip(ops[:, 0], ops[:, 1])), [list(pair) for pair in ops]]
+        for form in forms:
+            ch = channel.KrausChannel(kind=kind, ops=form, dim_S=2)
+            assert ch.ops.dtype == complex and ch.ops.shape == shape
+            assert not ch.ops.flags.writeable
+            np.testing.assert_array_equal(ch.ops, ops)
+        ops[0] = 0.0  # the channel holds its own copy
+        assert ch.ops[0].any()
+        with pytest.raises(ValueError):
+            ch.ops[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["hermitian", "pt"])
+    def test_empty_forms(self, kind):
+        shape = (0, 2, 2) if kind == "hermitian" else (0, 2, 2, 2)
+        for form in ((), [], np.zeros(shape)):  # the last one real
+            ch = channel.KrausChannel(kind=kind, ops=form, dim_S=2)
+            assert ch.ops.shape == shape and ch.ops.dtype == complex
+
+    @pytest.mark.parametrize(
+        "kind, ops",
+        [
+            ("hermitian", (np.eye(4),)),  # a 4x4 operator on a qubit
+            ("hermitian", np.eye(2)),  # one bare matrix, not a family
+            ("hermitian", ((np.eye(2), np.eye(2)),)),  # (L, R) pairs
+            ("pt", (np.eye(2),)),  # bare matrices for the PT kind
+            ("pt", ((np.eye(3), np.eye(3)),)),
+            ("pt", ((np.eye(2),) * 3,)),  # triples, not pairs
+        ],
+    )
+    def test_malformed_operators_raise_at_construction(self, kind, ops):
+        with pytest.raises(DimensionMismatch):
+            channel.KrausChannel(kind=kind, ops=ops, dim_S=2)
+
+
 class TestApplyChannel:
     def test_identity_channel(self, rng):
         ch = channel.KrausChannel(kind="hermitian", ops=(np.eye(2),), dim_S=2)
@@ -422,5 +466,5 @@ class TestBatchedAgainstLoops:
             np.testing.assert_array_equal(channel.choi_matrix(ch), np.zeros((9, 9)))
             cmap = pt_core.CanonicalMap(T=np.eye(3), T_inv=np.eye(3), condition=1.0)
             pt = channel.pt_kraus(ch, cmap)
-            assert pt.ops == ()
+            assert len(pt.ops) == 0
             assert pt.completeness_defect == pytest.approx(1.0)

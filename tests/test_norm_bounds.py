@@ -26,7 +26,12 @@ from ptdeco.errors import (  # noqa: E402
 )
 from ptdeco.pt_core import PhaseClass, PtHamiltonian  # noqa: E402
 
-from .conftest import exchange_parity, random_hermitian, random_pt_hamiltonian  # noqa: E402
+from .conftest import (  # noqa: E402
+    count_spectral_norms,
+    exchange_parity,
+    random_hermitian,
+    random_pt_hamiltonian,
+)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 MULTIPLES = (0.1, 1.0 - 1e-9, 1.0 + 1e-9, 10.0)
@@ -292,10 +297,7 @@ def test_hermitization_at_n16_takes_no_svd(rng, monkeypatch):
     hop = (hop + hop[::-1]) / 2.0
     H = np.diag(hop, 1) + np.diag(hop, -1) + 0j
     H[0, 0], H[-1, -1] = 0.3j, -0.3j
-    calls = []
-    for module in (linalg, pt_core):
-        inner = module.norm2
-        monkeypatch.setattr(module, "norm2", lambda a, inner=inner: calls.append(a) or inner(a))
+    calls = count_spectral_norms(monkeypatch)
     ham = PtHamiltonian(H=H, P=exchange_parity(n))
     assert pt_core.check_pt_symmetry(ham)
     assert pt_core.spectrum(ham).classification is PhaseClass.REAL

@@ -16,6 +16,7 @@ from ptdeco.pt_core import PhaseClass, PtHamiltonian
 
 from .conftest import (
     count_calls,
+    count_spectral_norms,
     exchange_parity,
     random_density_matrix,
     random_hermitian,
@@ -545,13 +546,13 @@ class TestExactDefectSkipsNorms:
     from Frobenius bounds, which settle these without an SVD)."""
 
     def test_density_matrix(self, monkeypatch):
-        calls = count_calls(monkeypatch, pt_core, "norm2")
+        calls = count_spectral_norms(monkeypatch)
         rho = np.array([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]])
         pt_core.require_density_matrix(rho)
         assert calls == []
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
         pt_core.require_density_matrix(rho + 1e-13 * skew)
-        assert len(calls) == 2
+        assert calls == [(2, 2), (2, 2)]  # ||rho||_2 and ||rho - rho^dag||_2
         with pytest.raises(NotDensityMatrix):
             pt_core.require_density_matrix(rho + 1e-3 * skew)
 
@@ -585,9 +586,9 @@ class TestStackedDensityCheck:
         stack[2] = stack[2] + 1e-13 * skew  # measured defect, within tol
         stack[4] = np.eye(dim) / dim  # exactly hermitian
         assert self.loop_verdict(stack) is None
-        per_matrix = count_calls(monkeypatch, pt_core, "norm2")
+        calls = count_spectral_norms(monkeypatch)
         out = pt_core.require_density_matrix(stack, name="s")
-        assert per_matrix == []  # no matrix re-checked alone
+        assert calls == [stack.shape] * 2  # one call per norm for the whole stack
         assert out.shape == stack.shape and out.dtype == complex
         np.testing.assert_array_equal(out, stack)
 
@@ -661,3 +662,111 @@ class TestStackedDensityCheck:
             pt_core.map_state_back(stack, cmap)
         with pytest.raises(DimensionMismatch):
             pt_core.map_state_back(np.repeat(np.eye(3)[None] / 3, 2, axis=0), cmap)
+
+
+def density_verdict(rho, tol, label):
+    """The message of the first density check that ``rho`` fails, in the
+    order hermiticity, trace, positivity, or None if it passes; spectral
+    norms from ``np.linalg.svd``."""
+
+    def spectral(m):
+        return float(np.linalg.svd(m, compute_uv=False).max())
+
+    if spectral(rho - rho.conj().T) > tol * max(spectral(rho), 1.0):
+        return f"{label} is not hermitian within tol"
+    trace = complex(sum(rho[i, i] for i in range(rho.shape[0])))
+    if abs(trace.real - 1.0) > max(tol, 1e-12):
+        return f"{label} trace {trace:.6g} != 1"
+    lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
+    if lowest < -max(tol, 1e-10):
+        return f"{label} has negative eigenvalue {lowest:.3e}"
+    return None
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def edge_state(rng, n, check, multiple, tol, scale):
+    """A matrix at ``multiple`` times the threshold of one density check."""
+    p = rng.uniform(0.2, 1.0, size=n)
+    p /= p.sum()
+    if check == "hermiticity":
+        # the off-diagonal entries are exactly those of eps * A, so the
+        # defect is exactly anti-hermitian and its norm is multiple * threshold
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        A = (A - A.conj().T) / 2.0
+        np.fill_diagonal(A, 0.0)
+        threshold = tol * max(scale * p.max(), 1.0)
+        eps = multiple * threshold / (2.0 * np.linalg.svd(A, compute_uv=False).max())
+        return scale * np.diag(p) + eps * A
+    U = random_unitary(rng, n)
+    if check == "negative":
+        p[0] = -multiple * max(tol, 1e-10)
+        p[1:] *= (1.0 - p[0]) / p[1:].sum()
+    rho = (U * p) @ U.conj().T
+    if check == "trace":
+        rho[0, 0] += multiple * max(tol, 1e-12)
+    return rho
+
+
+HERMITICITY_EDGES = [
+    ("hermiticity", m, tol, scale)
+    for m in (0.1, 1.0 - 1e-9, 1.0 + 1e-9, 10.0)
+    for tol in (1e-10, 1e-13)
+    for scale in (1.0, 4.0)  # 4: ||rho||_2 > 1 sets the threshold, trace fails
+]
+TRACE_EDGES = [
+    ("trace", sign * m, tol, 1.0)
+    for m in (1.0 - 1e-3, 1.0 + 1e-3)
+    for sign in (1.0, -1.0)
+    for tol in (1e-10, 1e-13)  # 1e-13: the 1e-12 floor is the threshold
+]
+NEGATIVE_EDGES = [
+    ("negative", m, tol, 1.0)
+    for m in (1.0 - 1e-4, 1.0 + 1e-4)
+    for tol in (1e-10, 1e-13)  # 1e-13: the 1e-10 floor is the threshold
+]
+EDGE_CASES = HERMITICITY_EDGES + TRACE_EDGES + NEGATIVE_EDGES
+
+
+class TestDensityCheckEdges:
+    """One density check serves a matrix, a one-member stack and a longer
+    stack: each check placed just either side of its threshold gives the
+    verdict and message of the per-matrix reference ``density_verdict``."""
+
+    @pytest.mark.parametrize("form", ["matrix", "single", "stack"])
+    @pytest.mark.parametrize("check, multiple, tol, scale", EDGE_CASES)
+    def test_edge_against_reference(self, rng, form, check, multiple, tol, scale):
+        n = int(rng.integers(2, 5))
+        rho = edge_state(rng, n, check, multiple, tol, scale)
+        if form == "matrix":
+            state, members = rho, [(rho, "s")]
+        else:
+            stack = [rho]
+            if form == "stack":
+                # valid members around it, and a later failing one that is
+                # reported only if rho passes
+                stack = [random_density_matrix(rng, n) for _ in range(2)] + stack
+                stack += [random_density_matrix(rng, n), 2.0 * np.eye(n) / n]
+            state = np.array(stack)
+            members = [(m, f"s[{i}]") for i, m in enumerate(state)]
+        verdicts = (density_verdict(m, tol, label) for m, label in members)
+        expected = next((v for v in verdicts if v is not None), None)
+        if expected is None:
+            out = pt_core.require_density_matrix(state, tol, "s")
+            np.testing.assert_array_equal(out, state)
+        else:
+            with pytest.raises(NotDensityMatrix) as info:
+                pt_core.require_density_matrix(state, tol, "s")
+            assert str(info.value) == expected
+
+    @pytest.mark.parametrize(
+        "check, multiple, tol, scale", [c for c in EDGE_CASES if c[3] == 1.0]
+    )
+    def test_placement(self, rng, check, multiple, tol, scale):
+        # each edge state lands on the intended side of its threshold, so the
+        # reference above is not trivially one-sided
+        rho = edge_state(rng, int(rng.integers(2, 5)), check, multiple, tol, scale)
+        assert (density_verdict(rho, tol, "s") is None) == (abs(multiple) < 1.0)
