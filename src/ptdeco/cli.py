@@ -265,13 +265,13 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
     for a in cfg.alphas:
         ham = dephasing.qubit_hamiltonian(a)
         report = pt_core.spectrum(ham)
-        vals = ",".join(
-            f"{_fmt(v.real)}{v.imag:+.17g}j" if abs(v.imag) > 1e-12 else _fmt(v.real)
-            for v in report.eigenvalues
-        )
+        vals = []
+        for v in report.eigenvalues:
+            re = _fmt(v.real + 0.0)  # an exact conjugate pair may have real part -0.0
+            vals.append(f"{re}{v.imag:+.17g}j" if abs(v.imag) > 1e-12 else re)
         print(
             f"alpha={_fmt(a)} classification={report.classification.value} "
-            f"eigenvalues={vals}"
+            f"eigenvalues={','.join(vals)}"
         )
     return 0
 

@@ -1,16 +1,17 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Everything here operates on plain ``numpy`` arrays of ``complex128``, and
-every LAPACK call goes through ``numpy.linalg``, so importing the package
-loads a single BLAS. The tensor-product index convention is system-major
-throughout the package: a composite index is ``s * dim_B + b`` with the
-system factor first.
+Everything here takes and returns plain ``numpy`` arrays of ``complex128``,
+and every LAPACK call goes through ``numpy.linalg``, so importing the package
+loads a single BLAS. The one computation in real arithmetic is that of
+:func:`eig_general` given a basis in which its input is real. The
+tensor-product index convention is system-major throughout the package: a
+composite index is ``s * dim_B + b`` with the system factor first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # complex: both parts finite
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -143,6 +144,9 @@ class EigSystem:
     values: np.ndarray
     right: np.ndarray
     left: np.ndarray
+    #: The unitary ``U`` whose real form ``U^dag A U`` the eigenproblem was
+    #: solved in (see :func:`eig_general`), or None for the complex path.
+    _real_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -164,7 +168,7 @@ def _gauge_columns(vecs: np.ndarray) -> np.ndarray:
     return v / (pivot / np.abs(pivot))
 
 
-def eig_general(A, tol: float = DEFAULT_TOL) -> EigSystem:
+def eig_general(A, tol: float = DEFAULT_TOL, *, _basis=None) -> EigSystem:
     """Eigendecompose a general (possibly non-hermitian) square matrix.
 
     Eigenvalues are sorted by real part, then imaginary part. Right vectors
@@ -175,10 +179,30 @@ def eig_general(A, tol: float = DEFAULT_TOL) -> EigSystem:
     Raises :class:`NonDiagonalizable` when any unit-norm left/right overlap
     falls below ``OVERLAP_FLOOR``, or when the residual ``||A r - lam r||``
     exceeds ``tol * ||A||`` — both signal exceptional-point proximity.
+
+    ``_basis`` is a unitary ``U`` in which ``A`` may be real, such as the
+    ``(I + iP)/sqrt(2)`` of a real parity ``P``. If ``||Im(U^dag A U)||_2 <=
+    tol * max(||A||_2, 1)``, one real eigendecomposition of ``Re(U^dag A U)``
+    is taken and its vectors are mapped back by ``U``; otherwise, and without
+    ``_basis``, one complex one of ``A``. Sorting, gauge and checks are the
+    same on either path and run on ``A``'s vectors.
     """
     A = as_cmatrix(A, "A")
-    n = _require_square(A, "A")
-    values, vr = np.linalg.eig(A)
+    _require_square(A, "A")
+    scale = Norm2(A)
+    real_basis = None
+    if _basis is not None:
+        M = _basis.conj().T @ A @ _basis
+        if norm2_le(within(tol), Norm2(M.imag), scale):
+            real_basis = _basis
+    if real_basis is None:
+        values, vr = np.linalg.eig(A)
+    else:
+        # Real input gives real arrays when every eigenvalue is real, and
+        # complex ones with exact conjugate pairs otherwise.
+        values, v = np.linalg.eig(M.real)
+        values = values.astype(complex, copy=False)
+        vr = real_basis @ v
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     vr = _gauge_columns(vr[:, order])
@@ -202,13 +226,13 @@ def eig_general(A, tol: float = DEFAULT_TOL) -> EigSystem:
     resid = np.linalg.norm(A @ vr - vr * values, axis=0)
     # the largest residual, NaN-blind like an elementwise resid > tol*||A||
     worst = float(np.fmax.reduce(resid, initial=0.0))
-    if not norm2_le(lambda s: (worst, tol * max(s, 1.0)), Norm2(A)):
+    if not norm2_le(lambda s: (worst, tol * max(s, 1.0)), scale):
         raise NonDiagonalizable(
             f"eigenpair residual {float(resid.max()):.3e} exceeds tol*||A||"
         )
 
     left = dual.conj().T
-    return EigSystem(values=values, right=vr, left=left)
+    return EigSystem(values=values, right=vr, left=left, _real_basis=real_basis)
 
 
 def mat_sqrt_psd(A, tol: float = DEFAULT_TOL) -> np.ndarray:

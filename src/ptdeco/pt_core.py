@@ -138,14 +138,22 @@ def _scale(ham: PtHamiltonian) -> Norm2:
 def _eigensystem(ham: PtHamiltonian, tol: float) -> linalg.EigSystem:
     """``linalg.eig_general(ham.H, tol)``, computed once per tol.
 
+    For a real parity ``P``, ``PT = P K`` is antiunitary with ``(PT)^2 = 1``,
+    so a PT-symmetric ``H`` is real in the basis ``U = (I + iP)/sqrt(2)``:
+    ``P conj(U) = -iU`` makes ``U^dag H U`` equal to its own conjugate.
+    ``eig_general`` is given that basis and solves in real arithmetic when
+    ``H`` is PT-symmetric within tol there.
+
     A :class:`NonDiagonalizable` outcome is memoized too and raised afresh
     on every call. The arrays of the shared result are read-only.
     """
     memo = ham._memo
     key = ("eig", tol)
     if key not in memo:
+        P = ham.P
+        basis = None if P.imag.any() else (np.eye(ham.dim) + 1j * P) / np.sqrt(2.0)
         try:
-            eig = linalg.eig_general(ham.H, tol)
+            eig = linalg.eig_general(ham.H, tol, _basis=basis)
         except NonDiagonalizable as exc:
             memo[key] = exc
         else:
@@ -272,7 +280,15 @@ def canonical_transform(
         raise ExceptionalPoint(str(exc)) from exc
 
     # V^dag V = eig.left eig.left^dag; its one eigh gives T, T^-1 and the condition
-    w, W = np.linalg.eigh(eig.left @ eig.left.conj().T)
+    U = eig._real_basis
+    if U is None:
+        w, W = np.linalg.eigh(eig.left @ eig.left.conj().T)
+    else:
+        # U^dag V^dag V U is real symmetric when the eigenvectors came from
+        # the real form: the gauge phases of the columns of U^dag left cancel
+        L = U.conj().T @ eig.left
+        w, W = np.linalg.eigh((L @ L.conj().T).real)
+        W = U @ W
     if float(w.min()) <= 0.0:
         raise ExceptionalPoint("canonical transform is singular")
     s = np.sqrt(w)

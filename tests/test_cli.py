@@ -1,4 +1,5 @@
 import hashlib
+import re
 import sys
 
 import numpy as np
@@ -45,6 +46,13 @@ class TestSpectrumCommand:
 
     def test_broken_phase_allowed_here(self, capsys):
         assert run(["spectrum", "--alpha", "1.5"]) == 0
+
+    def test_exact_pairs_print_no_negative_zero(self, capsys):
+        assert run(["spectrum", "--alpha", "1.1,1.5"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("classification=ComplexPairs") == 2
+        # "-0" not followed by a digit or a point is a signed zero
+        assert re.search(r"-0(?![.\d])", out) is None, out
 
 
 class TestFigure1Command:

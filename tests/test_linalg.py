@@ -71,6 +71,19 @@ class TestEigGeneral:
             linalg.eig_general(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+class TestAsCmatrix:
+    @pytest.mark.parametrize(
+        "value",
+        [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf),
+         complex(np.nan, np.inf), complex(-np.inf, 0.0)],
+    )
+    def test_non_finite_in_either_part_rejected(self, value):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = value
+        with pytest.raises(ValueError, match=r"^H contains non-finite entries$"):
+            linalg.as_cmatrix(m, "H")
+
+
 class TestMatSqrtPsd:
     def test_diagonal(self):
         np.testing.assert_allclose(

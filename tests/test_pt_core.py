@@ -24,6 +24,7 @@ from .conftest import (
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -538,6 +539,111 @@ def spectral_outputs(ham: PtHamiltonian) -> list:
         np.array(cmap.condition),
         pt_core.hermitian_representation(ham, cmap),
     ]
+
+
+def record_dtypes(monkeypatch, name: str) -> list:
+    """Wrap ``np.linalg.<name>`` so each call appends its input's dtype."""
+    dtypes = []
+    inner = getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return dtypes
+
+
+def complex_path_reference(H: np.ndarray):
+    """(sorted eigenvalues, T, h) from one complex ``np.linalg.eig`` of H and
+    one complex ``eigh`` of its metric, with the det(T) = 1 normalization."""
+    values, vr = np.linalg.eig(H)
+    order = np.lexsort((values.imag, values.real))
+    vr = vr[:, order] / np.linalg.norm(vr[:, order], axis=0)
+    left = np.linalg.inv(vr).conj().T
+    w, W = np.linalg.eigh(left @ left.conj().T)
+    s = np.sqrt(w)
+    T = (W * (s / np.exp(np.mean(np.log(s))))) @ W.conj().T
+    return values[order], T, T @ H @ np.linalg.inv(T)
+
+
+class TestRealForm:
+    """A PT Hamiltonian with a real parity is solved in real arithmetic;
+    any other input takes the complex path unchanged."""
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_matches_complex_path(self, rng, dim):
+        # a milder non-hermitian part keeps the rejection sampler in the
+        # unbroken phase at the larger dims
+        ham = random_pt_hamiltonian(rng, dim, imag_scale=min(0.3, 2.0 / dim))
+        H = ham.H
+        eig = pt_core._eigensystem(ham, linalg.DEFAULT_TOL)
+        assert eig._real_basis is not None
+        values, T_ref, h_ref = complex_path_reference(H)
+        scale = max(np.linalg.norm(H, 2), 1.0)
+        np.testing.assert_allclose(eig.values, values, rtol=0, atol=1e-12 * scale)
+        report = pt_core.spectrum(ham)
+        assert report.classification is PhaseClass.REAL
+        assert not report.eigenvalues.imag.any()  # exactly real, not rounding-small
+
+        np.testing.assert_allclose(eig.left.conj().T @ eig.right, np.eye(dim), atol=1e-10)
+        np.testing.assert_allclose(np.linalg.norm(eig.right, axis=0), 1.0, atol=1e-13)
+        # PT eigenvectors of the exchange parity have |r_i| = |r_(n-1-i)|, so
+        # the gauge pivot is one of the components of largest modulus
+        mod = np.abs(eig.right)
+        for k in range(dim):
+            top = eig.right[mod[:, k] >= mod[:, k].max() * (1 - 1e-12), k]
+            assert np.any((np.abs(top.imag) <= 1e-15) & (top.real > 0))
+
+        cmap = pt_core.canonical_transform(ham)
+        h = pt_core.hermitian_representation(ham, cmap)
+        assert np.linalg.norm(cmap.T - T_ref, 2) <= 1e-11 * np.linalg.norm(T_ref, 2)
+        assert np.linalg.norm(h - h_ref, 2) <= 1e-11 * np.linalg.norm(h_ref, 2)
+
+    def test_one_real_eig_and_one_real_metric_eigh(self, rng, monkeypatch):
+        ham = random_pt_hamiltonian(rng, 5)
+        eigs = record_dtypes(monkeypatch, "eig")
+        pt_core.spectrum(ham)
+        assert eigs == [np.float64]
+        eighs = record_dtypes(monkeypatch, "eigh")
+        pt_core.canonical_transform(ham)
+        assert eighs == [np.float64]
+
+    def test_broken_phase_gives_exact_conjugate_pairs(self):
+        for alpha in (1.1, 1.5, 3.0):
+            ham = pt_qubit(alpha)
+            report = pt_core.spectrum(ham)
+            assert report.classification is PhaseClass.COMPLEX_PAIRS
+            lo, hi = report.eigenvalues
+            assert lo == hi.conjugate() and lo.imag < 0
+            with pytest.raises(BrokenPhase):
+                pt_core.canonical_transform(ham)
+
+    def test_imaginary_parity_takes_the_complex_path(self, monkeypatch):
+        # sigma_y is hermitian and squares to I, but is not real
+        ham = PtHamiltonian(H=np.array([[1 + 0.5j, 2j], [2j, 1 - 0.5j]]), P=SY)
+        assert pt_core.check_pt_symmetry(ham)
+        eigs = record_dtypes(monkeypatch, "eig")
+        assert pt_core.spectrum(ham).classification is PhaseClass.COMPLEX_PAIRS
+        assert eigs == [np.complex128]
+        self.assert_complex_path(ham)
+
+    def test_non_pt_matrix_takes_the_complex_path(self, rng, monkeypatch):
+        H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        ham = PtHamiltonian(H=H, P=exchange_parity(4))
+        assert not pt_core.check_pt_symmetry(ham)
+        eigs = record_dtypes(monkeypatch, "eig")
+        pt_core.spectrum(ham)
+        assert eigs == [np.complex128]
+        self.assert_complex_path(ham)
+
+    @staticmethod
+    def assert_complex_path(ham):
+        got = pt_core._eigensystem(ham, linalg.DEFAULT_TOL)
+        want = linalg.eig_general(ham.H)
+        assert got._real_basis is None
+        for a, b in ((got.values, want.values), (got.right, want.right), (got.left, want.left)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestExactDefectSkipsNorms:
