@@ -78,10 +78,6 @@ class DephasingModel:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
     @property
-    def unbroken(self) -> bool:
-        return abs(self.alpha) <= 1.0
-
-    @property
     def e1(self) -> float:
         """Lower qubit energy -sqrt(1 - alpha^2)."""
         e1, _ = qubit_energies(self.alpha)

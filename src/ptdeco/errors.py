@@ -56,7 +56,7 @@ class QuadratureFailure(PtDecoError):
     """The a-priori error bound of gamma(t) exceeds the requested tolerance."""
 
 
-class InvalidExponent(PtDecoError):
+class InvalidExponent(PtDecoError, ValueError):
     """Spectral-density exponent mu <= -1 makes the bath integral divergent."""
 
 

@@ -148,10 +148,6 @@ class EigSystem:
     #: solved in (see :func:`eig_general`), or None for the complex path.
     _real_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         """Return sum_k values[k] |right_k><left_k|."""
         return (self.right * self.values) @ self.left.conj().T

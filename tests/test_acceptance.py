@@ -275,9 +275,11 @@ def test_criterion_7_coupling_rescaling():
     times = np.linspace(0.0, 5.0, 21)
     curves = {}
     for alpha in (0.0, 0.6):
+        # couplings g_n / |E1| take alpha out of the interaction
+        e1, _ = dephasing.qubit_energies(alpha)
+        scaled = oracle.DiscreteBath(omegas=bath.omegas, gs=bath.gs / abs(e1), fock_dim=5)
         states, _ = oracle.brute_force_dynamics(
-            alpha, bath, 0.5, oracle.DEFAULT_INITIAL_STATE, times,
-            rescale_coupling=True,
+            alpha, scaled, 0.5, oracle.DEFAULT_INITIAL_STATE, times
         )
         curves[alpha] = np.array([abs(oracle.coherence_sx(s)) for s in states])
     dev = float(np.max(np.abs(curves[0.0] - curves[0.6])))

@@ -262,6 +262,9 @@ class TestParameterChecks:
             (["oracle-compare", "--modes", "0"], "modes"),
             (["oracle-compare", "--fock-dim", "1"], "fock_dim"),
             (["oracle-compare", "--omega-max", "-1"], "omega_max"),
+            (["figure1", "--mu", "-1"], "mu"),
+            (["evolve", "--mu", "-1.5"], "mu"),
+            (["oracle-compare", "--mu", "-3"], "mu"),
         ],
     )
     def test_out_of_range_is_one_line_config_error(self, tmp_path, capsys, argv, name):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,7 +74,9 @@ class TestThermalState:
     def test_unit_trace(self):
         bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=3, omega_max=15.0)
         for beta in (0.3, 1.0, 10.0):
-            omega = oracle.thermal_state(bath, beta, tail_threshold=1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                omega = oracle.thermal_state(bath, beta)
             assert abs(np.trace(omega).real - 1.0) <= 1e-14
 
     def test_product_of_mode_populations(self):
@@ -177,10 +180,30 @@ class TestBruteForceDynamics:
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-4
 
-    def test_dimension_cap(self):
+    def test_cap_only_on_dense_references(self):
+        # composite dim 2*13^3 = 4394 exceeds DIM_CAP; the per-mode sectors
+        # never build it
         bath = oracle.DiscreteBath(omegas=[1.0, 2.0, 3.0], gs=[0.1] * 3, fock_dim=13)
         with pytest.raises(DimensionCap):
-            oracle.brute_force_dynamics(0.0, bath, 1.0, np.eye(2) / 2, [0.0])
+            oracle.bath_operators(bath)
+        with pytest.raises(DimensionCap):
+            oracle.thermal_state(bath, 1.0)
+        states, _ = oracle.brute_force_dynamics(0.0, bath, 1.0, np.eye(2) / 2, [0.0, 1.0])
+        assert states.shape == (2, 2, 2)
+
+    def test_converges_to_four_past_the_cap(self):
+        # composite dim 2*40^3 = 128000: the default bath, fully converged
+        bath = oracle.discretize_bath(
+            oracle.DEFAULT_SPECTRAL, n_modes=3, omega_max=15.0, fock_dim=40
+        )
+        times = np.linspace(0.0, 5.0, 21)
+        reps = [oracle.run_comparison(a, bath, 0.5, times) for a in (0.0, 0.6)]
+        c, resid = oracle.fit_decay_constant(
+            np.concatenate([r.exponents for r in reps]),
+            np.concatenate([r.brute_decoherence for r in reps]),
+        )
+        assert abs(c - 4.0) <= 1e-12
+        assert resid <= 1e-12
 
     def test_diagnostics_tail(self):
         bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=10.0, fock_dim=4)
@@ -258,6 +281,14 @@ class TestDenseReference:
             assert abs(tail - ref_tail) <= 1e-14
 
 
+def rescaled(bath, alpha):
+    """The bath with couplings g_n / |E1|, which takes alpha out of the interaction."""
+    e1, _ = dephasing.qubit_energies(alpha)
+    return oracle.DiscreteBath(
+        omegas=bath.omegas, gs=bath.gs / abs(e1), fock_dim=bath.fock_dim
+    )
+
+
 class TestFactorizedSectors:
     """The per-mode factorized sectors against the full bath space: dense
     ``bath_operators`` and ``thermal_state`` and one bath-sized ``eigh``
@@ -277,14 +308,11 @@ class TestFactorizedSectors:
             e1, _ = dephasing.qubit_energies(alpha)
             if rescale and e1 == 0.0:
                 continue
-            gs = bath.gs / abs(e1) if rescale else bath.gs
-            scaled = oracle.DiscreteBath(omegas=bath.omegas, gs=gs, fock_dim=fock_dim)
+            scaled = rescaled(bath, alpha) if rescale else bath
             H_B, V_B = oracle.bath_operators(scaled)
             omega = np.diag(oracle.thermal_state(scaled, beta)).real
             for rho0 in (oracle.DEFAULT_INITIAL_STATE, random_density_matrix(rng, 2)):
-                states, tail = oracle.brute_force_dynamics(
-                    alpha, bath, beta, rho0, times, rescale_coupling=rescale
-                )
+                states, tail = oracle.brute_force_dynamics(alpha, scaled, beta, rho0, times)
                 ref_states, ref_tail = sector_dynamics_dense(
                     H_B, V_B, omega, e1, rho0, times, fock_dim, n_modes
                 )
@@ -388,8 +416,7 @@ class TestCompare:
     def test_report_flags_non_unity_constant(self):
         bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=3, omega_max=15.0, fock_dim=5)
         rep = oracle.run_comparison(0.6, bath, 0.5, np.linspace(0.0, 5.0, 11))
-        assert not rep.matches_literal_exponent  # fitted c sits near 4, not 1
-        assert 3.0 < rep.fitted_c < 5.0
+        assert 3.0 < rep.fitted_c < 5.0  # near 4, not the literal exponent's 1
         assert np.isfinite(rep.fock_tail)
 
     def test_mismatched_beta_shows_up(self):
@@ -459,18 +486,10 @@ class TestCouplingRescaling:
         curves = []
         for alpha in (0.0, 0.6):
             states, _ = oracle.brute_force_dynamics(
-                alpha, bath, 0.5, oracle.DEFAULT_INITIAL_STATE, times,
-                rescale_coupling=True,
+                alpha, rescaled(bath, alpha), 0.5, oracle.DEFAULT_INITIAL_STATE, times
             )
             curves.append(np.array([abs(oracle.coherence_sx(s)) for s in states]))
         np.testing.assert_allclose(curves[0], curves[1], atol=1e-6)
-
-    def test_rescale_rejected_at_critical_point(self):
-        bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=10.0, fock_dim=3)
-        with pytest.raises(ValueError):
-            oracle.brute_force_dynamics(
-                1.0, bath, 0.5, np.eye(2) / 2, [0.0], rescale_coupling=True
-            )
 
 
 class TestTruncationFloor:
