@@ -153,14 +153,21 @@ class EigSystem:
         return (self.right * self.values) @ self.left.conj().T
 
 
+#: Relative window in which a modulus ties with its column's largest.
+_PIVOT_TIE = 1e-9
+
+
 def _gauge_columns(vecs: np.ndarray) -> np.ndarray:
-    """Unit-normalize columns and make the largest-modulus component real
-    positive (first occurrence wins), for deterministic output."""
+    """Unit-normalize columns and make the first component that ties with the
+    largest modulus real positive; ties that an exchange parity makes exact,
+    ``|r_i| = |r_(n-1-i)|``, are thus not broken by rounding."""
     nrm = np.linalg.norm(vecs, axis=0)
     if not nrm.all():
         raise NonDiagonalizable(f"zero eigenvector column {int(np.argmin(nrm))}")
     v = vecs / nrm
-    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    mod = np.abs(v)
+    first = np.argmax(mod >= mod.max(axis=0) * (1.0 - _PIVOT_TIE), axis=0)
+    pivot = v[first, np.arange(v.shape[1])]
     return v / (pivot / np.abs(pivot))
 
 
@@ -168,9 +175,10 @@ def eig_general(A, tol: float = DEFAULT_TOL, *, _basis=None) -> EigSystem:
     """Eigendecompose a general (possibly non-hermitian) square matrix.
 
     Eigenvalues are sorted by real part, then imaginary part. Right vectors
-    carry the deterministic unit-norm gauge; left vectors are the exact
-    duals (rows of the inverse of the right-vector matrix), so
-    biorthonormality holds to rounding.
+    are unit-norm, with their first component of largest modulus (ties
+    within ``_PIVOT_TIE``) real positive; left vectors are the exact duals
+    (rows of the inverse of the right-vector matrix), so biorthonormality
+    holds to rounding.
 
     Raises :class:`NonDiagonalizable` when any unit-norm left/right overlap
     falls below ``OVERLAP_FLOOR``, or when the residual ``||A r - lam r||``

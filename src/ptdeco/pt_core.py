@@ -3,13 +3,14 @@ transformation that maps a PT-symmetric Hamiltonian to a hermitian one.
 
 Conventions. Time reversal acts as entrywise complex conjugation, so the
 PT condition is the operator pair ``P H P = H^dag`` and ``conj(H) = H^dag``.
-A :class:`BiorthoSystem` stores right eigenvectors ``psi_n`` and their duals
-``phi_n`` rescaled to the PT normalization ``|<psi_n|P|psi_n>| = 1``, which
-makes ``P psi_n = exp(i theta_n) phi_n`` exact with ``theta_n`` in {0, pi}.
-The canonical map ``T = sqrt(V^dag V)`` is built from the unit-norm
-eigenvector gauge of :func:`ptdeco.linalg.eig_general` and normalized to
-``det(T) = 1``; the overall positive scalar of ``T`` cancels in every
-similarity transform, so comparisons against closed forms are up to scalar.
+A :class:`BiorthoSystem` holds the unit-norm right eigenvectors ``r_n`` and
+their duals ``l_n`` rescaled by the PT norms ``c_n = <r_n|P|r_n>``:
+``psi_n = r_n / sqrt|c_n|``, ``phi_n = sqrt|c_n| l_n``. A PT-symmetric ``H``
+has ``P r_n = c_n l_n``, so ``P psi_n = sign(c_n) phi_n = exp(i theta_n) phi_n``.
+The canonical map ``T`` is the square root of the CPT metric
+``P C = sum_n |c_n| l_n l_n^dag``, normalized to ``det(T) = 1``; its overall
+positive scalar cancels in every similarity transform, so comparisons
+against closed forms are up to scalar.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ DEFAULT_EPS_SPEC = 1e-9
 #: Condition-number cap of T beyond which IllConditioned fires.
 DEFAULT_COND_CAP = 1e8
 
-#: Snap window for the biorthonormal phases theta_n around 0 or pi.
+#: Relative window of the PT-relation checks on c_n and on P psi_n.
 THETA_SNAP = 1e-6
 
 
@@ -192,56 +193,48 @@ def spectrum(ham: PtHamiltonian, eps_spec: float = DEFAULT_EPS_SPEC) -> Spectrum
     return SpectrumReport(values, cls)
 
 
-def _require_unbroken(ham: PtHamiltonian, eps_spec: float) -> None:
-    report = spectrum(ham, eps_spec)
+def _pt_norms(ham: PtHamiltonian, tol: float) -> tuple[linalg.EigSystem, np.ndarray]:
+    """The eigensystem of an unbroken-phase ``ham`` and the real PT norms
+    ``c_n = <r_n|P|r_n>`` of its unit-norm right vectors (module docstring).
+    A degenerate level leaves its ``r_n``, and so ``c_n``, undefined."""
+    report = spectrum(ham)
     if report.classification is PhaseClass.EXCEPTIONAL_POINT:
         raise ExceptionalPoint("spectrum is at an exceptional point")
     if report.classification is PhaseClass.COMPLEX_PAIRS:
         raise BrokenPhase("spectrum contains complex-conjugate pairs")
+    try:
+        eig = _eigensystem(ham, tol)
+    except NonDiagonalizable as exc:
+        raise ExceptionalPoint(str(exc)) from exc
+    if ham.dim > 1:
+        gap = float(np.min(np.diff(eig.values.real)))
+        if norm2_le(lambda s: (gap, DEFAULT_EPS_SPEC * max(s, 1.0)), _scale(ham)):
+            raise DegenerateSpectrum(f"minimal level spacing {gap:.3e} is degenerate")
+    c = np.einsum("in,in->n", eig.right.conj(), ham.P @ eig.right)
+    mod = np.abs(c)
+    bad = (np.abs(c.imag) > THETA_SNAP * np.maximum(mod, 1.0)) | (mod <= tol)
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise NotPtSymmetric(
+            f"<r_{n}|P|r_{n}> = {c[n]:.3e} is not real and nonzero"
+        )
+    return eig, c.real
 
 
 def biorthonormal_basis(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> BiorthoSystem:
     """Biorthonormal eigenbasis of an unbroken-phase PT Hamiltonian.
 
     Eigenvectors are rescaled from the unit-norm gauge to the PT
-    normalization (see module docstring); the phases ``theta_n`` are read
-    off ``arg <phi_n|P|psi_n>`` and snapped to {0, pi}. A value that is not
-    within ``THETA_SNAP`` of either raises :class:`NotPtSymmetric`.
+    normalization and ``theta_n`` is ``pi`` where ``c_n < 0`` (see module
+    docstring). If ``P psi_n = exp(i theta_n) phi_n`` fails beyond
+    ``THETA_SNAP``, P is not a parity for H: :class:`NotPtSymmetric`.
     """
-    _require_unbroken(ham, DEFAULT_EPS_SPEC)
-    eig = _eigensystem(ham, tol)
-    energies = eig.values.real.copy()
-
-    if energies.size > 1:
-        gap = float(np.min(np.diff(energies)))
-        if norm2_le(lambda s: (gap, DEFAULT_EPS_SPEC * max(s, 1.0)), _scale(ham)):
-            raise DegenerateSpectrum(f"minimal level spacing {gap:.3e} is degenerate")
-
-    Ppsi = ham.P @ eig.right
-    c = np.einsum("in,in->n", eig.right.conj(), Ppsi)
-    mod = np.abs(c)
-    bad = (np.abs(c.imag) > THETA_SNAP * np.maximum(mod, 1.0)) | (mod <= tol)
-    if bad.any():
-        n = int(np.argmax(bad))
-        raise NotPtSymmetric(
-            f"<psi_{n}|P|psi_{n}> = {c[n]:.3e} is not real and nonzero"
-        )
-    w = np.sqrt(np.abs(c.real))
+    eig, c = _pt_norms(ham, tol)
+    w = np.sqrt(np.abs(c))
     psi = eig.right / w
     phi = eig.left * w
-    Ppsi /= w
-    ang = np.angle(np.einsum("in,in->n", phi.conj(), Ppsi)) % (2.0 * np.pi)
-    k = np.rint(ang / np.pi)  # nearest of 0, pi, 2 pi
-    bad = np.abs(ang - k * np.pi) > THETA_SNAP
-    if bad.any():
-        n = int(np.argmax(bad))
-        raise NotPtSymmetric(
-            f"phase of <phi_{n}|P|psi_{n}> = {ang[n]:.6f} is neither 0 nor pi"
-        )
-    theta = np.pi * (k % 2.0)
-    # the phase alone does not certify the parity relation; require the
-    # full vector identity P psi_n = exp(i theta_n) phi_n
-    resid = np.linalg.norm(Ppsi - np.exp(1j * theta) * phi, axis=0)
+    theta = np.pi * (c < 0.0)
+    resid = np.linalg.norm(ham.P @ psi - np.sign(c) * phi, axis=0)
     bad = resid > THETA_SNAP * (1.0 + np.linalg.norm(phi, axis=0))
     if bad.any():
         n = int(np.argmax(bad))
@@ -249,7 +242,7 @@ def biorthonormal_basis(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> Biortho
             f"P psi_{n} deviates from exp(i theta) phi_{n} by {resid[n]:.3e}; "
             "P is not a parity for this Hamiltonian"
         )
-    return BiorthoSystem(energies=energies, psi=psi, phi=phi, theta=theta)
+    return BiorthoSystem(energies=eig.values.real.copy(), psi=psi, phi=phi, theta=theta)
 
 
 def charge_conjugation(basis: BiorthoSystem, P) -> np.ndarray:
@@ -267,26 +260,22 @@ def canonical_transform(
     tol: float = DEFAULT_TOL,
     cond_cap: float = DEFAULT_COND_CAP,
 ) -> CanonicalMap:
-    """Canonical map T = sqrt(V^dag V), normalized to det(T) = 1.
+    """Canonical map T = sqrt(P C), normalized to det(T) = 1.
 
-    Rows of V are the duals of the unit-norm right eigenvectors, so that
-    ``V H V^{-1}`` is diagonal. The gauge removes the unphysical overall
-    scalar of T deterministically.
+    ``P C = phi phi^dag`` is the CPT metric of :func:`biorthonormal_basis`
+    and :func:`charge_conjugation`, so ``T H T^{-1}`` is hermitian; it is
+    formed from the PT norms alone, without the basis.
     """
-    _require_unbroken(ham, DEFAULT_EPS_SPEC)
-    try:
-        eig = _eigensystem(ham, tol)
-    except NonDiagonalizable as exc:
-        raise ExceptionalPoint(str(exc)) from exc
-
-    # V^dag V = eig.left eig.left^dag; its one eigh gives T, T^-1 and the condition
+    eig, c = _pt_norms(ham, tol)
+    phi = eig.left * np.sqrt(np.abs(c))
+    # one eigh of P C gives T, T^-1 and the condition
     U = eig._real_basis
     if U is None:
-        w, W = np.linalg.eigh(eig.left @ eig.left.conj().T)
+        w, W = np.linalg.eigh(phi @ phi.conj().T)
     else:
-        # U^dag V^dag V U is real symmetric when the eigenvectors came from
-        # the real form: the gauge phases of the columns of U^dag left cancel
-        L = U.conj().T @ eig.left
+        # U^dag P C U is real symmetric when the eigenvectors came from the
+        # real form: the gauge phases of the columns of U^dag phi cancel
+        L = U.conj().T @ phi
         w, W = np.linalg.eigh((L @ L.conj().T).real)
         W = U @ W
     if float(w.min()) <= 0.0:

@@ -148,6 +148,15 @@ class TestBiorthonormalBasis:
         with pytest.raises(DegenerateSpectrum):
             pt_core.biorthonormal_basis(PtHamiltonian(H=np.eye(2), P=np.eye(2)))
 
+    @pytest.mark.parametrize(
+        "construct", [pt_core.biorthonormal_basis, pt_core.canonical_transform]
+    )
+    def test_failed_eigensystem_is_an_exceptional_point(self, construct):
+        # unbroken at the default tol, but no eigenpair meets a residual
+        # bound below rounding: neither PT frame exists
+        with pytest.raises(ExceptionalPoint, match="residual"):
+            construct(dephasing.qubit_hamiltonian(0.6), tol=1e-18)
+
     def test_mismatched_parity_rejected(self):
         # hermitian H with real spectrum, but sigma_z is not a parity for it
         H = np.array([[1.0, 0.3], [0.3, 2.0]], dtype=complex)
@@ -189,13 +198,19 @@ class TestChargeConjugation:
         C = pt_core.charge_conjugation(basis, ham.P)
         np.testing.assert_allclose(C, SX, atol=1e-12)
 
-    def test_t_squared_equals_parity_times_c(self):
-        # T^2 = P C holds in the PT normalization of the basis
-        ham = pt_qubit(0.7)
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_t_squared_equals_parity_times_c(self, rng, dim):
+        # P C is the metric phi phi^dag of the PT normalization, and the
+        # canonical map factors that same metric: T^dag T = T^2 is P C up
+        # to the scalar that det(T) = 1 fixes
+        ham = random_pt_hamiltonian(rng, dim, imag_scale=min(0.3, 2.0 / dim))
         basis = pt_core.biorthonormal_basis(ham)
-        C = pt_core.charge_conjugation(basis, ham.P)
-        T2 = basis.phi @ basis.phi.conj().T
-        np.testing.assert_allclose(ham.P @ C, T2, atol=1e-10)
+        PC = ham.P @ pt_core.charge_conjugation(basis, ham.P)
+        np.testing.assert_allclose(PC, basis.phi @ basis.phi.conj().T, atol=1e-10)
+        T = pt_core.canonical_transform(ham).T
+        T2 = T.conj().T @ T
+        T2, PC = T2 / np.trace(T2).real, PC / np.trace(PC).real
+        assert np.linalg.norm(T2 - PC, 2) <= 1e-12 * np.linalg.norm(PC, 2)
 
     def test_random_family(self, rng):
         for dim in (2, 4):
@@ -243,6 +258,12 @@ class TestCanonicalTransform:
     def test_exceptional_point_rejected(self):
         with pytest.raises(ExceptionalPoint):
             pt_core.canonical_transform(pt_qubit(1.0))
+
+    def test_degenerate_spectrum_rejected(self):
+        # any basis of the degenerate level is an eigenbasis; this one has
+        # <r_n|P|r_n> = 0, so no PT norm, and no P C, is defined
+        with pytest.raises(DegenerateSpectrum):
+            pt_core.canonical_transform(PtHamiltonian(H=np.eye(2), P=SX))
 
     def test_ill_conditioned_cap(self):
         with pytest.raises(IllConditioned):
@@ -554,14 +575,16 @@ def record_dtypes(monkeypatch, name: str) -> list:
     return dtypes
 
 
-def complex_path_reference(H: np.ndarray):
+def complex_path_reference(H: np.ndarray, P: np.ndarray):
     """(sorted eigenvalues, T, h) from one complex ``np.linalg.eig`` of H and
-    one complex ``eigh`` of its metric, with the det(T) = 1 normalization."""
+    one complex ``eigh`` of its CPT metric ``sum_n |<r_n|P|r_n>| l_n l_n^dag``,
+    with the det(T) = 1 normalization."""
     values, vr = np.linalg.eig(H)
     order = np.lexsort((values.imag, values.real))
     vr = vr[:, order] / np.linalg.norm(vr[:, order], axis=0)
     left = np.linalg.inv(vr).conj().T
-    w, W = np.linalg.eigh(left @ left.conj().T)
+    c = np.abs(np.einsum("in,in->n", vr.conj(), P @ vr))
+    w, W = np.linalg.eigh((left * c) @ left.conj().T)
     s = np.sqrt(w)
     T = (W * (s / np.exp(np.mean(np.log(s))))) @ W.conj().T
     return values[order], T, T @ H @ np.linalg.inv(T)
@@ -579,7 +602,7 @@ class TestRealForm:
         H = ham.H
         eig = pt_core._eigensystem(ham, linalg.DEFAULT_TOL)
         assert eig._real_basis is not None
-        values, T_ref, h_ref = complex_path_reference(H)
+        values, T_ref, h_ref = complex_path_reference(H, ham.P)
         scale = max(np.linalg.norm(H, 2), 1.0)
         np.testing.assert_allclose(eig.values, values, rtol=0, atol=1e-12 * scale)
         report = pt_core.spectrum(ham)
@@ -588,17 +611,40 @@ class TestRealForm:
 
         np.testing.assert_allclose(eig.left.conj().T @ eig.right, np.eye(dim), atol=1e-10)
         np.testing.assert_allclose(np.linalg.norm(eig.right, axis=0), 1.0, atol=1e-13)
-        # PT eigenvectors of the exchange parity have |r_i| = |r_(n-1-i)|, so
-        # the gauge pivot is one of the components of largest modulus
+        # PT eigenvectors of the exchange parity have |r_i| = |r_(n-1-i)|;
+        # the gauge pivot is the first of the components tied in modulus
         mod = np.abs(eig.right)
-        for k in range(dim):
-            top = eig.right[mod[:, k] >= mod[:, k].max() * (1 - 1e-12), k]
-            assert np.any((np.abs(top.imag) <= 1e-15) & (top.real > 0))
+        first = np.argmax(mod >= mod.max(axis=0) * (1 - linalg._PIVOT_TIE), axis=0)
+        pivot = eig.right[first, np.arange(dim)]
+        assert np.all((np.abs(pivot.imag) <= 1e-15) & (pivot.real > 0))
 
         cmap = pt_core.canonical_transform(ham)
         h = pt_core.hermitian_representation(ham, cmap)
         assert np.linalg.norm(cmap.T - T_ref, 2) <= 1e-11 * np.linalg.norm(T_ref, 2)
         assert np.linalg.norm(h - h_ref, 2) <= 1e-11 * np.linalg.norm(h_ref, 2)
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_both_paths_give_the_same_frame(self, rng, dim, monkeypatch):
+        ham = random_pt_hamiltonian(rng, dim, imag_scale=min(0.3, 2.0 / dim))
+        atol = 1e-12 * max(np.linalg.norm(ham.H, 2), 1.0)
+        real = pt_core._eigensystem(ham, linalg.DEFAULT_TOL)
+        cplx = linalg.eig_general(ham.H)
+        assert real._real_basis is not None and cplx._real_basis is None
+        np.testing.assert_allclose(real.right, cplx.right, rtol=0, atol=atol)
+        np.testing.assert_allclose(real.left, cplx.left, rtol=0, atol=atol)
+
+        cmap = pt_core.canonical_transform(ham)
+        h = pt_core.hermitian_representation(ham, cmap)
+        eig_general = linalg.eig_general
+        monkeypatch.setattr(  # the same pt_core, on the complex eig path
+            linalg, "eig_general", lambda A, tol, _basis: eig_general(A, tol)
+        )
+        fresh = PtHamiltonian(H=ham.H, P=ham.P)
+        cmap_c = pt_core.canonical_transform(fresh)
+        assert pt_core._eigensystem(fresh, linalg.DEFAULT_TOL)._real_basis is None
+        np.testing.assert_allclose(cmap.T, cmap_c.T, rtol=0, atol=atol)
+        h_c = pt_core.hermitian_representation(fresh, cmap_c)
+        np.testing.assert_allclose(h, h_c, rtol=0, atol=atol)
 
     def test_one_real_eig_and_one_real_metric_eigh(self, rng, monkeypatch):
         ham = random_pt_hamiltonian(rng, 5)
