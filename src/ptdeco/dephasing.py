@@ -144,17 +144,30 @@ _BERNOULLI = np.array(
     [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798]
 ) / np.array([math.factorial(2 * j) for j in range(1, _N_BERNOULLI + 2)])
 
+#: The time-independent layout of the pieces of ``_gamma_values``, one column
+#: each: the direct terms k = 0 .. 11, then the half term, the integral pair
+#: and the Bernoulli corrections j = 1 .. 9, all at k = 12. ``_NODE`` is the
+#: column's k, ``_EXPO0 - mu`` its exponent; the Bernoulli weights take the
+#: powers ``2j - 1`` of ``beta / X`` and ``Gamma(mu + 2j)``.
+_J = np.arange(1, _N_BERNOULLI + 2)
+_NODE = np.minimum(np.arange(_N_DIRECT + _J.size + 3), _N_DIRECT).astype(float)
+_EXPO0 = np.concatenate([np.zeros(_N_DIRECT + 2), [1.0], 1.0 - 2 * _J])
+_POWER = (2 * _J - 1).astype(float)
+_GAMMA_ARG = (2 * _J).astype(float)
+_EPS = float(np.finfo(float).eps)
+
 
 def _div(num, den):
     """num / den, continued by 1 where den == 0 (every caller's limit there)."""
-    return np.divide(num, den, out=np.ones(np.broadcast(num, den).shape), where=den != 0.0)
+    return np.divide(num, den, out=np.ones(den.shape), where=den != 0.0)
 
 
 def _q(e, lam, phi):
     """Re[expm1(e (lam + i phi))] / e in real arithmetic, continued to e = 0."""
     h = 0.5 * e * phi
     first = lam * _div(np.expm1(e * lam), e * lam) * np.cos(2.0 * h)
-    return first - phi * np.sin(h) * _div(np.sin(h), h)
+    sin_h = np.sin(h)
+    return first - phi * sin_h * _div(sin_h, h)
 
 
 def _gamma_values(
@@ -168,41 +181,44 @@ def _gamma_values(
     Euler-Maclaurin at ``X = s_12``: the half term, the integral term
     ``Gamma(mu + 1) X^(1-mu) / beta [Q(1-mu) - Q(-mu) - delta e^(-mu lam) phi
     sinc(mu phi)]`` and the Bernoulli corrections. Each column of ``q`` is one
-    piece, ``coef`` its weight. The summand is completely monotone in k, so
-    the remainder is at most twice the first neglected correction. Raises
-    :class:`QuadratureFailure` where ``bound > tol * max(1, gamma)``.
+    piece (layout in ``_NODE``), ``coef`` its weight. The summand is completely
+    monotone in k, so the remainder is at most twice the first neglected
+    correction. Raises :class:`QuadratureFailure` where
+    ``bound > tol * max(1, gamma)``.
     """
-    mu = spec.mu
+    mu, j0 = spec.mu, spec.j0
     t = np.asarray(times, dtype=float)[:, None]
-    s = 1.0 / spec.omega_c + beta * np.arange(_N_DIRECT + 1)
-    x = s[-1]
-    j = np.arange(1, _N_BERNOULLI + 2)
-    at = np.concatenate([s[:-1], np.full(_N_BERNOULLI + 4, x)])
-    expo = np.concatenate([np.full(_N_DIRECT + 2, -mu), [1.0 - mu], 1.0 - mu - 2 * j])
+    at = 1.0 / spec.omega_c + beta * _NODE
+    x = at[-1]
     delta = t / at
     lam, phi = 0.5 * np.log1p(delta * delta), -np.arctan(delta)
-    q = _q(expo, lam, phi)
+    q = _q(_EXPO0 - mu, lam, phi)
 
     g1 = math.gamma(mu + 1.0)
-    integral = 2.0 * g1 * x**-mu * x / beta
-    gammas = np.array([math.gamma(mu + 2 * k) for k in j])
-    bernoulli = 2.0 * _BERNOULLI * gammas * (beta / x) ** (2 * j - 1) * x**-mu
-    coef = np.concatenate([2.0 * g1 * s[:-1] ** -mu, [g1 * x**-mu, -integral, integral], bernoulli])
+    x_mu = x**-mu
+    integral = 2.0 * g1 * x_mu * x / beta
+    coef = np.empty(at.shape)
+    coef[:_N_DIRECT] = 2.0 * g1 * at[:_N_DIRECT] ** -mu
     coef[0] *= 0.5  # the k = 0 term of the coth expansion has weight 1
+    coef[_N_DIRECT:_N_DIRECT + 3] = g1 * x_mu, -integral, integral
+    gammas = [math.gamma(a) for a in (mu + _GAMMA_ARG).tolist()]
+    coef[_N_DIRECT + 3:] = 2.0 * _BERNOULLI * gammas * (beta / x) ** _POWER * x_mu
     dx, lx, px = delta[:, -1], lam[:, -1], phi[:, -1]
-    tilt = -integral * dx * np.exp(-mu * lx) * px * _div(np.sin(mu * px), mu * px)
+    mpx = mu * px
+    tilt = -integral * dx * np.exp(-mu * lx) * px * _div(np.sin(mpx), mpx)
 
-    terms = spec.j0 * q * coef
-    value = terms[:, :-1].sum(axis=1) + spec.j0 * tilt
+    terms = j0 * q * coef
+    summed = terms[:, :-1]
+    value = summed.sum(axis=1) + j0 * tilt
     # rounding: the pieces' magnitudes times their conditioning (s^-mu carries
     # |mu|, Q(-mu) cancels like 1/(1 + mu) at small t)
-    abs_sum = np.abs(terms[:, :-1]).sum(axis=1) + spec.j0 * np.abs(tilt)
-    rounding = 8.0 * (4.0 + abs(mu) + 1.0 / (1.0 + mu)) * np.finfo(float).eps * abs_sum
+    abs_sum = np.abs(summed).sum(axis=1) + j0 * np.abs(tilt)
+    rounding = 8.0 * (4.0 + abs(mu) + 1.0 / (1.0 + mu)) * _EPS * abs_sum
     bound = 2.0 * np.abs(terms[:, -1]) + rounding
 
-    bad = ~(bound <= tol * np.maximum(1.0, value))
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    ok = bound <= tol * np.maximum(1.0, value)
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise QuadratureFailure(
             f"gamma({t[i, 0]}) error bound {bound[i]:.3e} exceeds tol relative to "
             f"value {value[i]:.6g}"
@@ -251,12 +267,19 @@ def decoherence_function(
     model: DephasingModel, t: float, tol: float = DEFAULT_GAMMA_TOL
 ) -> float:
     """D(t) = exp(-E1^2 gamma(t)), with D identically 1 at |alpha| = 1."""
-    _require_time(t)
-    e1, _ = qubit_energies(model.alpha)
-    if t == 0.0 or e1 == 0.0:
-        return 1.0
+    return _decoherence(model, t, tol)[1]
+
+
+def _decoherence(model: DephasingModel, t: float, tol: float) -> tuple[float, float]:
+    """(E1, D(t)), with t checked before alpha and each checked once:
+    inside the unbroken phase :func:`gamma_integral` checks t."""
+    alpha = model.alpha
+    if t == 0.0 or not abs(alpha) < 1.0:  # D = 1, or a NaN or broken alpha
+        _require_time(t)
+        return qubit_energies(alpha)[0], 1.0
     gamma = gamma_integral(model, t, tol)
-    return math.exp(-(e1 * e1) * gamma.value)
+    e1, _ = qubit_energies(alpha)
+    return e1, math.exp(-(e1 * e1) * gamma.value)
 
 
 def ohmic_asymptote(alpha: float, j0: float, beta: float, t: float) -> float:
@@ -284,7 +307,7 @@ def evolve_exact_given_d(varrho0, e1: float, t, d) -> np.ndarray:
     rho0 = require_density_matrix(varrho0, name="varrho0")
     if rho0.shape != (2, 2):
         raise InconsistentInitialState("the exact solution is for a qubit (2x2)")
-    r11_0 = rho0[0, 0].real
+    r11_0 = float(rho0[0, 0].real)
     r12_0 = complex(rho0[0, 1])
 
     r11_at0 = 0.5 - r12_0.real
@@ -314,9 +337,7 @@ def evolve_exact(
     Computes D(t) from the bath integral and applies
     :func:`evolve_exact_given_d`; see there for the admissible-state check.
     """
-    _require_time(t)
-    e1, _ = qubit_energies(model.alpha)
-    d = decoherence_function(model, t, tol)
+    e1, d = _decoherence(model, t, tol)
     return evolve_exact_given_d(varrho0, e1, t, d)
 
 

@@ -195,8 +195,25 @@ def spectrum(ham: PtHamiltonian, eps_spec: float = DEFAULT_EPS_SPEC) -> Spectrum
 
 def _pt_norms(ham: PtHamiltonian, tol: float) -> tuple[linalg.EigSystem, np.ndarray]:
     """The eigensystem of an unbroken-phase ``ham`` and the real PT norms
-    ``c_n = <r_n|P|r_n>`` of its unit-norm right vectors (module docstring).
-    A degenerate level leaves its ``r_n``, and so ``c_n``, undefined."""
+    ``c_n = <r_n|P|r_n>`` of its unit-norm right vectors (module docstring),
+    computed once per tol. A failure is memoized too and raised afresh, with
+    the same type and text, on every call; the shared ``c_n`` is read-only."""
+    memo = ham._memo
+    key = ("pt_norms", tol)
+    if key not in memo:
+        try:
+            memo[key] = _solve_pt_norms(ham, tol)
+        except (BrokenPhase, DegenerateSpectrum, ExceptionalPoint, NotPtSymmetric) as exc:
+            memo[key] = exc
+    norms = memo[key]
+    if isinstance(norms, Exception):
+        raise type(norms)(str(norms))
+    return norms
+
+
+def _solve_pt_norms(ham: PtHamiltonian, tol: float) -> tuple[linalg.EigSystem, np.ndarray]:
+    """:func:`_pt_norms` without the memo. A degenerate level leaves its
+    ``r_n``, and so ``c_n``, undefined."""
     report = spectrum(ham)
     if report.classification is PhaseClass.EXCEPTIONAL_POINT:
         raise ExceptionalPoint("spectrum is at an exceptional point")
@@ -218,7 +235,9 @@ def _pt_norms(ham: PtHamiltonian, tol: float) -> tuple[linalg.EigSystem, np.ndar
         raise NotPtSymmetric(
             f"<r_{n}|P|r_{n}> = {c[n]:.3e} is not real and nonzero"
         )
-    return eig, c.real
+    c = c.real
+    c.flags.writeable = False
+    return eig, c
 
 
 def biorthonormal_basis(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> BiorthoSystem:
@@ -332,16 +351,19 @@ def require_density_matrix(rho, tol: float = DEFAULT_TOL, name: str = "state") -
         raise NotDensityMatrix(f"{name} must be {what}, got {rho.shape}")
     rho_h = rho.swapaxes(-1, -2).conj()
     defect = rho - rho_h
-    # An exactly zero defect passes any tolerance; the 2-norms are taken only
-    # if some matrix has a nonzero one.
+    # An exactly zero defect passes any tolerance, and leaves rho its own
+    # hermitian part bit for bit; the 2-norms and the hermitian part are
+    # formed only if some matrix has a nonzero defect.
     not_herm = defect.any(axis=(-2, -1))
+    herm = rho
     if not_herm.any():
+        herm = (rho + rho_h) / 2.0
         scale = np.maximum(np.linalg.norm(rho, 2, axis=(-2, -1)), 1.0)
         not_herm &= np.linalg.norm(defect, 2, axis=(-2, -1)) > tol * scale
     trace = rho.trace(axis1=-2, axis2=-1)
     bad_trace = np.abs(trace.real - 1.0) > max(tol, 1e-12)
     # a 0 x 0 matrix has no eigenvalues, and fails only on its trace
-    lowest = np.linalg.eigvalsh((rho + rho_h) / 2.0).min(axis=-1, initial=np.inf)
+    lowest = np.linalg.eigvalsh(herm).min(axis=-1, initial=np.inf)
     negative = lowest < -max(tol, 1e-10)
     bad = not_herm | bad_trace | negative
     if bad.any():

@@ -78,5 +78,13 @@ def count_spectral_norms(monkeypatch) -> list:
 
 
 @pytest.fixture
+def raise_float_errors():
+    """Every floating-point overflow, invalid operation and division by zero
+    in numpy is an error for the duration of the test."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        yield
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -17,6 +17,10 @@ from ptdeco.errors import (
 from .conftest import count_calls
 from .oracles import gamma_discrete_loops, gamma_hurwitz_mpmath, gamma_trapezoid
 
+# no step of gamma(t), D(t) or the closed-form states may overflow, divide by
+# zero or produce a NaN anywhere in these tests
+pytestmark = pytest.mark.usefixtures("raise_float_errors")
+
 FIG1_SPECTRAL = SpectralDensity(j0=1.0, mu=-0.5, omega_c=1.0)
 FIG1_BETA = 0.5
 
@@ -448,4 +452,63 @@ class TestSweepAlpha:
         ts = np.linspace(0.0, 3.0, 4)
         table = dephasing.sweep_alpha([0.0, 0.8], ts, FIG1_SPECTRAL, FIG1_BETA)
         scalar = [dephasing.gamma_integral(fig1_model(0.0), t).value for t in ts]
-        np.testing.assert_allclose(table.gamma, scalar, rtol=1e-15)
+        np.testing.assert_array_equal(table.gamma, scalar)
+
+
+class TestOnePath:
+    """A single time point takes the same array pass as a whole grid: the
+    scalar entry points equal the array pass bit for bit over the domain grid."""
+
+    @pytest.mark.parametrize("beta", GRID_BETAS)
+    @pytest.mark.parametrize("mu", GRID_MUS)
+    def test_gamma_integral_is_the_array_pass(self, mu, beta):
+        model = DephasingModel(0.6, beta, SpectralDensity(1.0, mu, 1.0))
+        values, bounds = dephasing._gamma_values(
+            model.spectral, beta, GRID_TIMES, dephasing.DEFAULT_GAMMA_TOL
+        )
+        for t, value, bound in zip(GRID_TIMES, values, bounds):
+            res = dephasing.gamma_integral(model, t)
+            assert res.value == value, t
+            assert res.abs_error_estimate == bound, t
+
+    @pytest.mark.parametrize("beta", GRID_BETAS)
+    @pytest.mark.parametrize("mu", GRID_MUS)
+    def test_evolve_exact_is_evolve_exact_given_d(self, mu, beta):
+        rho0 = np.array([[0.5, 0.35j], [-0.35j, 0.5]])
+        for alpha in (0.6, 1.0):
+            model = DephasingModel(alpha, beta, SpectralDensity(1.0, mu, 1.0))
+            e1 = model.e1
+            for t in GRID_TIMES:
+                d = dephasing.decoherence_function(model, t)
+                np.testing.assert_array_equal(
+                    dephasing.evolve_exact(model, rho0, t),
+                    dephasing.evolve_exact_given_d(rho0, e1, t, d),
+                )
+
+    def test_one_check_of_t_and_alpha_per_call(self, monkeypatch):
+        times = count_calls(monkeypatch, dephasing, "_require_time")
+        energies = count_calls(monkeypatch, dephasing, "qubit_energies")
+        rho0 = np.array([[0.5, 0.35j], [-0.35j, 0.5]])
+        for alpha, t in ((0.6, 2.0), (0.6, 0.0), (1.0, 2.0)):
+            dephasing.evolve_exact(fig1_model(alpha), rho0, t)
+            assert len(times) == len(energies) == 1, (alpha, t)
+            times.clear()
+            energies.clear()
+
+    @pytest.mark.parametrize(
+        "alpha, t, error, match",
+        [
+            (0.6, math.nan, ValueError, "t must be finite"),
+            (1.5, math.nan, ValueError, "t must be finite"),  # t before alpha
+            (math.nan, -1.0, ValueError, "t must be >= 0"),
+            (1.5, 2.0, BrokenPhase, "complex spectrum"),
+            (math.nan, 2.0, ValueError, "alpha is NaN"),
+        ],
+    )
+    def test_errors_in_order(self, alpha, t, error, match):
+        model = DephasingModel(alpha, FIG1_BETA, FIG1_SPECTRAL)
+        rho0 = np.array([[0.5, 0.35j], [-0.35j, 0.5]])
+        with pytest.raises(error, match=match):
+            dephasing.decoherence_function(model, t)
+        with pytest.raises(error, match=match):
+            dephasing.evolve_exact(model, rho0, t)

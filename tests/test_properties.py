@@ -16,6 +16,9 @@ from ptdeco import dephasing  # noqa: E402
 from ptdeco.dephasing import DephasingModel, SpectralDensity  # noqa: E402
 from ptdeco.errors import QuadratureFailure  # noqa: E402
 
+# no step of gamma(t) or D(t) may overflow, divide by zero or produce a NaN
+pytestmark = pytest.mark.usefixtures("raise_float_errors")
+
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 #: Below mu = -1 + 1e-3 the a-priori bound of the closed form carries a

@@ -498,6 +498,50 @@ class TestSpectralMemo:
         assert eighs == [(4, 4)]
         assert roots == []
 
+    def test_pt_norms_once_per_hamiltonian(self, rng, monkeypatch):
+        # spectrum, the degeneracy check (np.diff of the energies) and the
+        # c_n einsum run once for both PT-frame constructors, however often
+        ham = random_pt_hamiltonian(rng, 4)
+        spectra = count_calls(monkeypatch, pt_core, "spectrum")
+        gaps = count_calls(monkeypatch, np, "diff")
+        norms = count_calls(monkeypatch, np, "einsum")
+        for _ in range(2):
+            pt_core.biorthonormal_basis(ham)
+            pt_core.canonical_transform(ham)
+        assert (len(spectra), len(gaps), len(norms)) == (1, 1, 1)
+        # another tol is another computation
+        pt_core.canonical_transform(ham, tol=1e-9)
+        assert (len(spectra), len(gaps), len(norms)) == (2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: pt_qubit(1.2), BrokenPhase),
+            (lambda: pt_qubit(1.0), ExceptionalPoint),
+            (lambda: PtHamiltonian(H=np.eye(2), P=np.eye(2)), DegenerateSpectrum),
+        ],
+    )
+    def test_pt_norms_failure_is_raised_afresh(self, make, error, monkeypatch):
+        ham = make()
+        spectra = count_calls(monkeypatch, pt_core, "spectrum")
+        raised = []
+        for construct in (pt_core.biorthonormal_basis, pt_core.canonical_transform) * 2:
+            with pytest.raises(error) as info:
+                construct(ham)
+            raised.append(info.value)
+        assert len(spectra) == 1
+        assert len({str(exc) for exc in raised}) == 1
+        assert len({id(exc) for exc in raised}) == len(raised)
+
+    def test_pt_norms_failed_eigensystem_is_raised_afresh(self):
+        ham = dephasing.qubit_hamiltonian(0.6)
+        texts = []
+        for _ in range(2):
+            with pytest.raises(ExceptionalPoint, match="residual") as info:
+                pt_core.canonical_transform(ham, tol=1e-18)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+
     def test_caller_mutation_does_not_leak(self, rng):
         H = random_pt_hamiltonian(rng, 4).H.copy()
         H0 = H.copy()
@@ -814,6 +858,60 @@ class TestStackedDensityCheck:
             pt_core.map_state_back(stack, cmap)
         with pytest.raises(DimensionMismatch):
             pt_core.map_state_back(np.repeat(np.eye(3)[None] / 3, 2, axis=0), cmap)
+
+
+class TestExactlyHermitianShortcut:
+    """An exactly hermitian state goes to ``eigvalsh`` as it is, a state with
+    any nonzero defect as its hermitian part; both give the verdicts and
+    messages of the symmetrized reference ``density_verdict``."""
+
+    @staticmethod
+    def exactly_hermitian(rng, n, lowest):
+        # (A + A^dag)/2 has an exactly zero hermiticity defect
+        p = rng.uniform(0.2, 1.0, size=n)
+        p[0] = lowest
+        p[1:] *= (1.0 - lowest) / p[1:].sum()
+        U = random_unitary(rng, n)
+        rho = (U * p) @ U.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+        assert not (rho - rho.conj().T).any()
+        return rho
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("multiple", [0.5, 1.0 - 1e-4, 1.0 + 1e-4, 100.0])
+    @pytest.mark.parametrize("defect", [0.0, 1e-15])
+    @pytest.mark.parametrize("form", ["matrix", "stack"])
+    def test_verdicts_match_the_symmetrized_reference(
+        self, rng, tol, multiple, defect, form
+    ):
+        n = int(rng.integers(2, 5))
+        rho = self.exactly_hermitian(rng, n, -multiple * max(tol, 1e-10))
+        skew = random_hermitian(rng, n) * 1j
+        if form == "matrix":
+            state = rho + defect * skew
+            members = [(state, "s")]
+        else:
+            state = np.array([self.exactly_hermitian(rng, n, 0.05), rho, rho])
+            state[2] = state[2] + defect * skew
+            members = [(m, f"s[{i}]") for i, m in enumerate(state)]
+        verdicts = (density_verdict(m, tol, label) for m, label in members)
+        expected = next((v for v in verdicts if v is not None), None)
+        assert (expected is None) == (multiple < 1.0)
+        if expected is None:
+            out = pt_core.require_density_matrix(state, tol, "s")
+            np.testing.assert_array_equal(out, state)
+        else:
+            assert "negative eigenvalue" in expected
+            with pytest.raises(NotDensityMatrix) as info:
+                pt_core.require_density_matrix(state, tol, "s")
+            assert str(info.value) == expected
+
+    def test_exactly_hermitian_state_is_its_own_hermitian_part(self, rng):
+        for n in (2, 3, 5):
+            rho = self.exactly_hermitian(rng, n, -1e-3)
+            herm = (rho + rho.conj().T) / 2.0
+            assert herm.tobytes() == rho.tobytes()
+            np.testing.assert_array_equal(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(herm))
 
 
 def density_verdict(rho, tol, label):
