@@ -24,6 +24,9 @@ from .pt_core import CanonicalMap, require_density_matrix
 #: Kraus family; the induced completeness defect is reported, not hidden.
 DEFAULT_WEIGHT_CUT = 1e-12
 
+#: A Choi eigenvalue as low as -_CP_TOL still passes the complete-positivity test.
+_CP_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class CompositeModel:
@@ -159,20 +162,15 @@ def reduced_state(model: CompositeModel, varrho0_S, Omega_B, t: float) -> np.nda
     return linalg.partial_trace_env(rho, model.dim_S, model.dim_B)
 
 
-def kraus_extract(
-    model: CompositeModel,
-    Omega_B,
-    t: float,
-    weight_cut: float = DEFAULT_WEIGHT_CUT,
-) -> KrausChannel:
+def kraus_extract(model: CompositeModel, Omega_B, t: float) -> KrausChannel:
     """Kraus family K_(beta,alpha) = sqrt(p_alpha) <beta|U(t)|alpha>.
 
     |alpha>, |beta> run over the eigenbasis of Omega_B; source states alpha
-    with p_alpha <= weight_cut are dropped, as are operators of negligible
-    weight ||K||_F^2 <= weight_cut (for a product evolution this leaves the
-    single unitary operator). The resulting completeness defect is recorded
-    on the channel. Operators are ordered by descending p_alpha, then
-    ascending beta.
+    with p_alpha <= DEFAULT_WEIGHT_CUT are dropped, as are operators of
+    negligible weight ||K||_F^2 <= DEFAULT_WEIGHT_CUT (for a product
+    evolution this leaves the single unitary operator). The resulting
+    completeness defect is recorded on the channel. Operators are ordered
+    by descending p_alpha, then ascending beta.
     """
     Omega_B = require_density_matrix(Omega_B, name="Omega_B")
     if Omega_B.shape != (model.dim_B,) * 2:
@@ -182,7 +180,7 @@ def kraus_extract(
     p, states = p[order], states[:, order]
 
     d_S, d_B = model.dim_S, model.dim_B
-    keep = p > weight_cut
+    keep = p > DEFAULT_WEIGHT_CUT
     kets = states[:, keep] * np.sqrt(p[keep])
     U = propagator(model, t)
     # U as a (s, b, s', b') tensor: contract the ket index b' with every kept
@@ -191,7 +189,7 @@ def kraus_extract(
     K = states.conj().T @ Uk.transpose(1, 0, 2, 3).reshape(d_B, -1)
     # (b, s, s', a) -> (a, b, s, s'): descending p_a, then ascending b
     K = K.reshape(d_B, d_S, d_S, -1).transpose(3, 0, 1, 2).reshape(-1, d_S, d_S)
-    K = K[np.sum(np.abs(K) ** 2, axis=(1, 2)) > weight_cut]
+    K = K[np.sum(np.abs(K) ** 2, axis=(1, 2)) > DEFAULT_WEIGHT_CUT]
 
     defect = norm2(_op_sum(_dagger(K), K) - np.eye(d_S))
     return KrausChannel(kind="hermitian", ops=K, dim_S=d_S, completeness_defect=defect)
@@ -242,7 +240,7 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
     return vecs.T @ vecs.conj()
 
 
-def is_completely_positive(channel: KrausChannel, tol: float = 1e-9) -> bool:
-    """Choi-eigenvalue test: all eigenvalues >= -tol."""
+def is_completely_positive(channel: KrausChannel) -> bool:
+    """Choi-eigenvalue test: all eigenvalues >= -_CP_TOL."""
     evals = np.linalg.eigvalsh(choi_matrix(channel))
-    return bool(float(evals.min()) >= -tol)
+    return bool(float(evals.min()) >= -_CP_TOL)

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -62,9 +62,9 @@ class ScenarioConfig:
     t_end: float = 20.0
     n_points: int = 200
     tol: float = 1e-10
-    modes: int = 3
-    fock_dim: int = 5
-    omega_max: float = 15.0
+    modes: int = oracle.DEFAULT_N_MODES
+    fock_dim: int = oracle.DEFAULT_FOCK_DIM
+    omega_max: float = oracle.DEFAULT_OMEGA_MAX
     compare_tol: float = 1e-2
     state_r11: float = 0.5
     state_re12: float = 0.0
@@ -382,7 +382,7 @@ _COMMAND_DEFAULTS = {
     "evolve": ScenarioConfig(alphas=(0.6,)),
     "oracle-compare": ScenarioConfig(
         alphas=(0.0, 0.6),
-        j0=0.2,
+        **asdict(oracle.DEFAULT_SPECTRAL),  # j0, mu, omega_c
         t_end=5.0,
         n_points=21,
     ),

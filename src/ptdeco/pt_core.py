@@ -31,6 +31,7 @@ from .errors import (
     NotDensityMatrix,
     NotHermitian,
     NotPtSymmetric,
+    PtDecoError,
 )
 from .linalg import DEFAULT_TOL, Norm2, as_cmatrix, norm2_le, within
 
@@ -126,45 +127,50 @@ class CanonicalMap:
     condition: float
 
 
+def _once(ham: PtHamiltonian, key: str, compute):
+    """``compute()``, run once per instance and kept in ``ham._memo``. A
+    :class:`PtDecoError` it raises is kept too and raised afresh, with the
+    same type and text, on every call."""
+    memo = ham._memo
+    if key not in memo:
+        try:
+            memo[key] = compute()
+        except PtDecoError as exc:
+            memo[key] = exc
+    out = memo[key]
+    if isinstance(out, PtDecoError):
+        raise type(out)(str(out))
+    return out
+
+
 def _scale(ham: PtHamiltonian) -> Norm2:
     """||H||_2, whose max(., 1) scales every relative tolerance on H, held
-    once per instance as bounds; its SVD runs at most once, and only if a
-    test needs the exact value."""
-    memo = ham._memo
-    if "scale" not in memo:
-        memo["scale"] = Norm2(ham.H)
-    return memo["scale"]
+    as bounds; its SVD runs at most once, and only if a test needs the
+    exact value."""
+    return _once(ham, "scale", lambda: Norm2(ham.H))
 
 
-def _eigensystem(ham: PtHamiltonian, tol: float) -> linalg.EigSystem:
-    """``linalg.eig_general(ham.H, tol)``, computed once per tol.
+def _eigensystem(ham: PtHamiltonian) -> linalg.EigSystem:
+    """``linalg.eig_general(ham.H, DEFAULT_TOL)``, computed once per instance.
 
     For a real parity ``P``, ``PT = P K`` is antiunitary with ``(PT)^2 = 1``,
     so a PT-symmetric ``H`` is real in the basis ``U = (I + iP)/sqrt(2)``:
     ``P conj(U) = -iU`` makes ``U^dag H U`` equal to its own conjugate.
     ``eig_general`` is given that basis and solves in real arithmetic when
-    ``H`` is PT-symmetric within tol there.
-
-    A :class:`NonDiagonalizable` outcome is memoized too and raised afresh
-    on every call. The arrays of the shared result are read-only.
+    ``H`` is PT-symmetric within tol there. A :class:`NonDiagonalizable`
+    outcome is raised afresh on every call; the arrays of the shared result
+    are read-only.
     """
-    memo = ham._memo
-    key = ("eig", tol)
-    if key not in memo:
+
+    def solve():
         P = ham.P
         basis = None if P.imag.any() else (np.eye(ham.dim) + 1j * P) / np.sqrt(2.0)
-        try:
-            eig = linalg.eig_general(ham.H, tol, _basis=basis)
-        except NonDiagonalizable as exc:
-            memo[key] = exc
-        else:
-            for a in (eig.values, eig.right, eig.left):
-                a.flags.writeable = False
-            memo[key] = eig
-    eig = memo[key]
-    if isinstance(eig, NonDiagonalizable):
-        raise NonDiagonalizable(str(eig))
-    return eig
+        eig = linalg.eig_general(ham.H, DEFAULT_TOL, _basis=basis)
+        for a in (eig.values, eig.right, eig.left):
+            a.flags.writeable = False
+        return eig
+
+    return _once(ham, "eig", solve)
 
 
 def check_pt_symmetry(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> bool:
@@ -180,7 +186,7 @@ def check_pt_symmetry(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> bool:
 def spectrum(ham: PtHamiltonian, eps_spec: float = DEFAULT_EPS_SPEC) -> SpectrumReport:
     """Classify the spectrum as Real, ComplexPairs, or ExceptionalPoint."""
     try:
-        values = _eigensystem(ham, DEFAULT_TOL).values.copy()
+        values = _eigensystem(ham).values.copy()
     except NonDiagonalizable:
         values = np.linalg.eigvals(ham.H)
         order = np.lexsort((values.imag, values.real))
@@ -193,25 +199,14 @@ def spectrum(ham: PtHamiltonian, eps_spec: float = DEFAULT_EPS_SPEC) -> Spectrum
     return SpectrumReport(values, cls)
 
 
-def _pt_norms(ham: PtHamiltonian, tol: float) -> tuple[linalg.EigSystem, np.ndarray]:
+def _pt_norms(ham: PtHamiltonian) -> tuple[linalg.EigSystem, np.ndarray]:
     """The eigensystem of an unbroken-phase ``ham`` and the real PT norms
     ``c_n = <r_n|P|r_n>`` of its unit-norm right vectors (module docstring),
-    computed once per tol. A failure is memoized too and raised afresh, with
-    the same type and text, on every call; the shared ``c_n`` is read-only."""
-    memo = ham._memo
-    key = ("pt_norms", tol)
-    if key not in memo:
-        try:
-            memo[key] = _solve_pt_norms(ham, tol)
-        except (BrokenPhase, DegenerateSpectrum, ExceptionalPoint, NotPtSymmetric) as exc:
-            memo[key] = exc
-    norms = memo[key]
-    if isinstance(norms, Exception):
-        raise type(norms)(str(norms))
-    return norms
+    computed once per instance; the shared ``c_n`` is read-only."""
+    return _once(ham, "pt_norms", lambda: _solve_pt_norms(ham))
 
 
-def _solve_pt_norms(ham: PtHamiltonian, tol: float) -> tuple[linalg.EigSystem, np.ndarray]:
+def _solve_pt_norms(ham: PtHamiltonian) -> tuple[linalg.EigSystem, np.ndarray]:
     """:func:`_pt_norms` without the memo. A degenerate level leaves its
     ``r_n``, and so ``c_n``, undefined."""
     report = spectrum(ham)
@@ -219,17 +214,15 @@ def _solve_pt_norms(ham: PtHamiltonian, tol: float) -> tuple[linalg.EigSystem, n
         raise ExceptionalPoint("spectrum is at an exceptional point")
     if report.classification is PhaseClass.COMPLEX_PAIRS:
         raise BrokenPhase("spectrum contains complex-conjugate pairs")
-    try:
-        eig = _eigensystem(ham, tol)
-    except NonDiagonalizable as exc:
-        raise ExceptionalPoint(str(exc)) from exc
+    # a failed eigensystem is classified EXCEPTIONAL_POINT above
+    eig = _eigensystem(ham)
     if ham.dim > 1:
         gap = float(np.min(np.diff(eig.values.real)))
         if norm2_le(lambda s: (gap, DEFAULT_EPS_SPEC * max(s, 1.0)), _scale(ham)):
             raise DegenerateSpectrum(f"minimal level spacing {gap:.3e} is degenerate")
     c = np.einsum("in,in->n", eig.right.conj(), ham.P @ eig.right)
     mod = np.abs(c)
-    bad = (np.abs(c.imag) > THETA_SNAP * np.maximum(mod, 1.0)) | (mod <= tol)
+    bad = (np.abs(c.imag) > THETA_SNAP * np.maximum(mod, 1.0)) | (mod <= DEFAULT_TOL)
     if bad.any():
         n = int(np.argmax(bad))
         raise NotPtSymmetric(
@@ -240,7 +233,7 @@ def _solve_pt_norms(ham: PtHamiltonian, tol: float) -> tuple[linalg.EigSystem, n
     return eig, c
 
 
-def biorthonormal_basis(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> BiorthoSystem:
+def biorthonormal_basis(ham: PtHamiltonian) -> BiorthoSystem:
     """Biorthonormal eigenbasis of an unbroken-phase PT Hamiltonian.
 
     Eigenvectors are rescaled from the unit-norm gauge to the PT
@@ -248,7 +241,7 @@ def biorthonormal_basis(ham: PtHamiltonian, tol: float = DEFAULT_TOL) -> Biortho
     docstring). If ``P psi_n = exp(i theta_n) phi_n`` fails beyond
     ``THETA_SNAP``, P is not a parity for H: :class:`NotPtSymmetric`.
     """
-    eig, c = _pt_norms(ham, tol)
+    eig, c = _pt_norms(ham)
     w = np.sqrt(np.abs(c))
     psi = eig.right / w
     phi = eig.left * w
@@ -274,18 +267,14 @@ def charge_conjugation(basis: BiorthoSystem, P) -> np.ndarray:
     return (basis.psi @ basis.psi.conj().T) @ P
 
 
-def canonical_transform(
-    ham: PtHamiltonian,
-    tol: float = DEFAULT_TOL,
-    cond_cap: float = DEFAULT_COND_CAP,
-) -> CanonicalMap:
+def canonical_transform(ham: PtHamiltonian) -> CanonicalMap:
     """Canonical map T = sqrt(P C), normalized to det(T) = 1.
 
     ``P C = phi phi^dag`` is the CPT metric of :func:`biorthonormal_basis`
     and :func:`charge_conjugation`, so ``T H T^{-1}`` is hermitian; it is
     formed from the PT norms alone, without the basis.
     """
-    eig, c = _pt_norms(ham, tol)
+    eig, c = _pt_norms(ham)
     phi = eig.left * np.sqrt(np.abs(c))
     # one eigh of P C gives T, T^-1 and the condition
     U = eig._real_basis
@@ -301,9 +290,9 @@ def canonical_transform(
         raise ExceptionalPoint("canonical transform is singular")
     s = np.sqrt(w)
     condition = float(s.max() / s.min())
-    if condition > cond_cap:
+    if condition > DEFAULT_COND_CAP:
         raise IllConditioned(
-            f"condition {condition:.3e} exceeds cap {cond_cap:.1e} "
+            f"condition {condition:.3e} exceeds cap {DEFAULT_COND_CAP:.1e} "
             "(exceptional-point proximity)"
         )
     gm = float(np.exp(np.mean(np.log(s))))
@@ -319,6 +308,8 @@ def hermitian_representation(
 ) -> np.ndarray:
     """h = T H T^{-1}, returned as its exact hermitian part (h + h^dag)/2;
     raises NotHermitian if the defect exceeds tol*||H||."""
+    if cmap.T.shape != ham.H.shape:
+        raise DimensionMismatch(f"canonical map shape {cmap.T.shape} != H {ham.H.shape}")
     h = cmap.T @ ham.H @ cmap.T_inv
     if not norm2_le(within(tol), Norm2(h - h.conj().T), _scale(ham)):
         raise NotHermitian(
@@ -353,18 +344,20 @@ def require_density_matrix(rho, tol: float = DEFAULT_TOL, name: str = "state") -
     defect = rho - rho_h
     # An exactly zero defect passes any tolerance, and leaves rho its own
     # hermitian part bit for bit; the 2-norms and the hermitian part are
-    # formed only if some matrix has a nonzero defect.
+    # formed only if some matrix has a nonzero defect, the latter halved
+    # before the sum so that it cannot overflow.
     not_herm = defect.any(axis=(-2, -1))
     herm = rho
     if not_herm.any():
-        herm = (rho + rho_h) / 2.0
+        herm = rho / 2.0 + rho_h / 2.0
         scale = np.maximum(np.linalg.norm(rho, 2, axis=(-2, -1)), 1.0)
         not_herm &= np.linalg.norm(defect, 2, axis=(-2, -1)) > tol * scale
     trace = rho.trace(axis1=-2, axis2=-1)
     bad_trace = np.abs(trace.real - 1.0) > max(tol, 1e-12)
     # a 0 x 0 matrix has no eigenvalues, and fails only on its trace
     lowest = np.linalg.eigvalsh(herm).min(axis=-1, initial=np.inf)
-    negative = lowest < -max(tol, 1e-10)
+    # written so that a NaN eigenvalue fails
+    negative = ~(lowest >= -max(tol, 1e-10))
     bad = not_herm | bad_trace | negative
     if bad.any():
         i = int(np.argmax(bad))
@@ -378,14 +371,14 @@ def require_density_matrix(rho, tol: float = DEFAULT_TOL, name: str = "state") -
     return rho
 
 
-def map_state_back(varrho, cmap: CanonicalMap, tol: float = DEFAULT_TOL) -> np.ndarray:
+def map_state_back(varrho, cmap: CanonicalMap) -> np.ndarray:
     """Pull a hermitian-representation state back: rho = T^{-1} varrho T.
 
     The output is the PT-representation state; it keeps the trace but is
     generally not hermitian. A ``(k, n, n)`` stack of states is validated
     and mapped as a whole.
     """
-    varrho = require_density_matrix(varrho, tol, "varrho")
+    varrho = require_density_matrix(varrho, name="varrho")
     if varrho.shape[-2:] != cmap.T.shape:
         raise DimensionMismatch(f"state shape {varrho.shape} != {cmap.T.shape}")
     return cmap.T_inv @ varrho @ cmap.T

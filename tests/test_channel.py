@@ -214,7 +214,7 @@ class TestKrausExtract:
     def test_weight_cut_reported(self, rng):
         m = small_model(rng, dim_b=3, dephasing=False)
         omega = np.diag([1.0 - 1e-13, 1e-13, 0.0]).astype(complex)
-        ch = channel.kraus_extract(m, omega, 1.0, weight_cut=1e-12)
+        ch = channel.kraus_extract(m, omega, 1.0)
         # the 1e-13 branch is truncated; defect reflects it
         assert 1e-14 <= ch.completeness_defect <= 1e-11
 
@@ -362,7 +362,7 @@ class TestChoi:
         for _ in range(5):
             m = small_model(rng, dim_b=3, dephasing=False)
             ch = channel.kraus_extract(m, random_density_matrix(rng, 3), 1.2)
-            assert channel.is_completely_positive(ch, tol=1e-9)
+            assert channel.is_completely_positive(ch)
             evals = np.linalg.eigvalsh(channel.choi_matrix(ch))
             assert float(evals.min()) >= -1e-9
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ptdeco import cli, dephasing, pt_core
+from ptdeco import cli, dephasing, oracle, pt_core
 
 pytestmark = pytest.mark.filterwarnings("ignore::ptdeco.errors.TruncationWarning")
 
@@ -211,6 +211,15 @@ class TestOracleCompareCommand:
         )
         assert code == 1
         assert capsys.readouterr().out.startswith("FAIL")
+
+    def test_defaults_are_the_oracle_constants(self):
+        args = cli.build_parser().parse_args(["oracle-compare"])
+        cfg = cli.build_config(args, cli._COMMAND_DEFAULTS["oracle-compare"])
+        assert (cfg.modes, cfg.fock_dim, cfg.omega_max) == (
+            oracle.DEFAULT_N_MODES, oracle.DEFAULT_FOCK_DIM, oracle.DEFAULT_OMEGA_MAX
+        )
+        spectral = oracle.DEFAULT_SPECTRAL
+        assert (cfg.j0, cfg.mu, cfg.omega_c) == (spectral.j0, spectral.mu, spectral.omega_c)
 
 
 class TestConfigHandling:

@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,15 +151,6 @@ class TestBiorthonormalBasis:
         with pytest.raises(DegenerateSpectrum):
             pt_core.biorthonormal_basis(PtHamiltonian(H=np.eye(2), P=np.eye(2)))
 
-    @pytest.mark.parametrize(
-        "construct", [pt_core.biorthonormal_basis, pt_core.canonical_transform]
-    )
-    def test_failed_eigensystem_is_an_exceptional_point(self, construct):
-        # unbroken at the default tol, but no eigenpair meets a residual
-        # bound below rounding: neither PT frame exists
-        with pytest.raises(ExceptionalPoint, match="residual"):
-            construct(dephasing.qubit_hamiltonian(0.6), tol=1e-18)
-
     def test_mismatched_parity_rejected(self):
         # hermitian H with real spectrum, but sigma_z is not a parity for it
         H = np.array([[1.0, 0.3], [0.3, 2.0]], dtype=complex)
@@ -265,9 +259,10 @@ class TestCanonicalTransform:
         with pytest.raises(DegenerateSpectrum):
             pt_core.canonical_transform(PtHamiltonian(H=np.eye(2), P=SX))
 
-    def test_ill_conditioned_cap(self):
-        with pytest.raises(IllConditioned):
-            pt_core.canonical_transform(pt_qubit(0.9999), cond_cap=10.0)
+    def test_ill_conditioned_cap(self, monkeypatch):
+        monkeypatch.setattr(pt_core, "DEFAULT_COND_CAP", 10.0)
+        with pytest.raises(IllConditioned, match="exceeds cap 1.0e"):
+            pt_core.canonical_transform(pt_qubit(0.9999))
 
     def test_condition_diverges_toward_critical_point(self):
         conds = []
@@ -379,6 +374,11 @@ class TestHermitianRepresentation:
             h = pt_core.hermitian_representation(ham, pt_core.canonical_transform(ham))
             assert np.array_equal(h, h.conj().T)
 
+    def test_map_of_another_dimension_rejected(self, rng):
+        cmap = pt_core.canonical_transform(random_pt_hamiltonian(rng, 3))
+        with pytest.raises(DimensionMismatch):
+            pt_core.hermitian_representation(pt_qubit(0.5), cmap)
+
 
 class TestMapObservable:
     def test_identity(self):
@@ -475,19 +475,18 @@ class TestCanonicalCommutators:
 
 class TestSpectralMemo:
     def test_one_eigendecomposition_per_hamiltonian(self, rng, monkeypatch):
-        calls = []
-        eig_general = linalg.eig_general
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return eig_general(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "eig_general", counting)
-        ham = random_pt_hamiltonian(rng, 4)
-        pt_core.spectrum(ham)
-        pt_core.biorthonormal_basis(ham)
-        pt_core.canonical_transform(ham)
-        assert len(calls) == 1
+        # one eig_general and one c_n einsum, whatever the order of the calls
+        calls = count_calls(monkeypatch, linalg, "eig_general")
+        norms = count_calls(monkeypatch, np, "einsum")
+        for order in itertools.permutations(
+            [pt_core.spectrum, pt_core.biorthonormal_basis, pt_core.canonical_transform]
+        ):
+            ham = random_pt_hamiltonian(rng, 4)
+            for call in order * 2:
+                call(ham)
+            assert (len(calls), len(norms)) == (1, 1)
+            calls.clear()
+            norms.clear()
 
     def test_canonical_transform_factorizes_the_metric_once(self, rng, monkeypatch):
         ham = random_pt_hamiltonian(rng, 4)
@@ -509,9 +508,6 @@ class TestSpectralMemo:
             pt_core.biorthonormal_basis(ham)
             pt_core.canonical_transform(ham)
         assert (len(spectra), len(gaps), len(norms)) == (1, 1, 1)
-        # another tol is another computation
-        pt_core.canonical_transform(ham, tol=1e-9)
-        assert (len(spectra), len(gaps), len(norms)) == (2, 2, 2)
 
     @pytest.mark.parametrize(
         "make, error",
@@ -532,15 +528,6 @@ class TestSpectralMemo:
         assert len(spectra) == 1
         assert len({str(exc) for exc in raised}) == 1
         assert len({id(exc) for exc in raised}) == len(raised)
-
-    def test_pt_norms_failed_eigensystem_is_raised_afresh(self):
-        ham = dephasing.qubit_hamiltonian(0.6)
-        texts = []
-        for _ in range(2):
-            with pytest.raises(ExceptionalPoint, match="residual") as info:
-                pt_core.canonical_transform(ham, tol=1e-18)
-            texts.append(str(info.value))
-        assert texts[0] == texts[1]
 
     def test_caller_mutation_does_not_leak(self, rng):
         H = random_pt_hamiltonian(rng, 4).H.copy()
@@ -644,7 +631,7 @@ class TestRealForm:
         # unbroken phase at the larger dims
         ham = random_pt_hamiltonian(rng, dim, imag_scale=min(0.3, 2.0 / dim))
         H = ham.H
-        eig = pt_core._eigensystem(ham, linalg.DEFAULT_TOL)
+        eig = pt_core._eigensystem(ham)
         assert eig._real_basis is not None
         values, T_ref, h_ref = complex_path_reference(H, ham.P)
         scale = max(np.linalg.norm(H, 2), 1.0)
@@ -671,7 +658,7 @@ class TestRealForm:
     def test_both_paths_give_the_same_frame(self, rng, dim, monkeypatch):
         ham = random_pt_hamiltonian(rng, dim, imag_scale=min(0.3, 2.0 / dim))
         atol = 1e-12 * max(np.linalg.norm(ham.H, 2), 1.0)
-        real = pt_core._eigensystem(ham, linalg.DEFAULT_TOL)
+        real = pt_core._eigensystem(ham)
         cplx = linalg.eig_general(ham.H)
         assert real._real_basis is not None and cplx._real_basis is None
         np.testing.assert_allclose(real.right, cplx.right, rtol=0, atol=atol)
@@ -685,7 +672,7 @@ class TestRealForm:
         )
         fresh = PtHamiltonian(H=ham.H, P=ham.P)
         cmap_c = pt_core.canonical_transform(fresh)
-        assert pt_core._eigensystem(fresh, linalg.DEFAULT_TOL)._real_basis is None
+        assert pt_core._eigensystem(fresh)._real_basis is None
         np.testing.assert_allclose(cmap.T, cmap_c.T, rtol=0, atol=atol)
         h_c = pt_core.hermitian_representation(fresh, cmap_c)
         np.testing.assert_allclose(h, h_c, rtol=0, atol=atol)
@@ -729,7 +716,7 @@ class TestRealForm:
 
     @staticmethod
     def assert_complex_path(ham):
-        got = pt_core._eigensystem(ham, linalg.DEFAULT_TOL)
+        got = pt_core._eigensystem(ham)
         want = linalg.eig_general(ham.H)
         assert got._real_basis is None
         for a, b in ((got.values, want.values), (got.right, want.right), (got.left, want.left)):
@@ -1020,3 +1007,24 @@ class TestDensityCheckEdges:
         # reference above is not trivially one-sided
         rho = edge_state(rng, int(rng.integers(2, 5)), check, multiple, tol, scale)
         assert (density_verdict(rho, tol, "s") is None) == (abs(multiple) < 1.0)
+
+
+class TestDensityCheckOverflow:
+    """Entries near the float maximum: the hermitian part is formed without
+    overflow, and a state is never accepted on a NaN eigenvalue."""
+
+    NEAR_HERMITIAN = np.array([[0.5, 1.5e308 + 1e292j], [1.5e308, 0.5]])
+    HERMITIAN = np.array([[0.5, 1.5e308], [1.5e308, 0.5]])
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("name", ["NEAR_HERMITIAN", "HERMITIAN"])
+    def test_rejected_without_warning(self, stacked, name):
+        rho = getattr(self, name)
+        label = "s"
+        if stacked:
+            rho, label = np.stack([np.eye(2) / 2, rho]), "s[1]"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotDensityMatrix) as info:
+                pt_core.require_density_matrix(rho, name="s")
+        assert str(info.value) == f"{label} has negative eigenvalue -1.500e+308"
