@@ -12,6 +12,7 @@ All outputs use hbar = 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -32,14 +33,206 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+#: Tables of fewer cells take one ``%`` per row: the array writer's fixed
+#: cost per pass outweighs its lower cost per cell below about this size.
+_ARRAY_MIN_CELLS = 1000
+#: Cells per array pass (whole rows, at least one); bounds the writer's
+#: temporaries to a few hundred kB.
+_BLOCK_CELLS = 4096
+
+
 def _fmt_rows(table) -> list[str]:
     """CSV lines of a 2-D float table, each cell as :func:`_fmt` gives it.
 
-    One ``%`` operation per row: the same bytes as joining ``_fmt`` cells.
+    Small tables take one ``%`` operation per row. Larger ones go through
+    :func:`_fmt_block` a block of rows at a time, with the same bytes.
     """
     table = np.asarray(table, dtype=float)
-    row_fmt = ",".join(["%.17g"] * table.shape[1])
-    return [row_fmt % tuple(row) for row in table.tolist()]
+    if table.size < _ARRAY_MIN_CELLS:
+        row_fmt = ",".join(["%.17g"] * table.shape[1])
+        return [row_fmt % tuple(row) for row in table.tolist()]
+    step = max(1, _BLOCK_CELLS // table.shape[1])
+    lines = []
+    for start in range(0, len(table), step):
+        lines.extend(_fmt_block(table[start : start + step]))
+    return lines
+
+
+#: Range of the decimal exponent p = 16 - k in ``|x| 10^p``, for the
+#: k = floor(log10|x|) of every cell the array path formats: 1e-280 < |x| <
+#: 1e280, and a computed log10 may land on the integer past either end.
+_P_MIN, _P_MAX = 16 - 280, 16 + 281
+#: Dekker's splitting constant 2^27 + 1: a double into two 26-bit halves.
+_SPLIT = 134217729.0
+#: Cell width in the assembly buffer: sign, up to 23 characters of a number
+#: ("d.dddddddddddddddde-ddd", "0.000ddddddddddddddddd") and the separator.
+#: ``'%.17g'`` of any double, sign included, fits in the first 24 bytes.
+_CELL = 25
+#: Layout of a cell's 24-byte digit row: the leading digit at byte 3, the
+#: other 16 as four aligned 4-byte groups at bytes 4..19.
+_LEAD = 3
+#: Styles of a cell: fixed notation for k = -4..16 is style k + 4; the rest
+#: take style _SCI, d.ddde+XX.
+_SCI = 21
+
+
+def _split(a):
+    """Dekker's split of ``a`` into ``hi + lo``, each with 26 significant bits."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _pow10_parts(p: int) -> tuple[float, float, float, float]:
+    """``10^p = hi + lo`` to about 2^-106 relative, from exact integer
+    arithmetic, with Dekker's split of ``hi``."""
+    num, den = 10 ** max(p, 0), 10 ** max(-p, 0)
+    hi = num / den  # correctly rounded
+    a, b = hi.as_integer_ratio()
+    lo = (num * b - a * den) / (den * b)
+    return (hi, lo, *_split(hi))
+
+
+@functools.cache
+def _pow10_table() -> np.ndarray:
+    """Columns ``_pow10_parts(p)`` for p in [_P_MIN, _P_MAX], NaN until
+    :func:`_pow10_rows` first needs them."""
+    return np.full((4, _P_MAX - _P_MIN + 1), np.nan)
+
+
+def _pow10_rows(p: np.ndarray) -> list[np.ndarray]:
+    """``hi, lo`` and the split of ``hi`` of ``10^p``, per element of ``p``."""
+    table = _pow10_table()
+    idx = p - _P_MIN
+    need = np.zeros(table.shape[1], dtype=bool)
+    need[idx] = True
+    for i in np.flatnonzero(need & np.isnan(table[0])):
+        table[:, i] = _pow10_parts(int(i) + _P_MIN)
+    return [row.take(idx) for row in table]
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ASCII of 0000..9999 as one uint32 per group; the number of
+    trailing zero digits of each group (4 for 0000); and, for m = 0..17, the
+    digit row mask that keeps the first m digits, as three uint64 words."""
+    ascii4 = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for j in range(4):  # ascii4[a, b, c, d] spells abcd
+        ascii4[..., j] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - j))
+    zeros = np.zeros((10, 10, 10, 10), dtype=np.int64)
+    zeros[..., 0] = 1
+    zeros[..., 0, 0] = 2
+    zeros[..., 0, 0, 0] = 3
+    zeros[0, 0, 0, 0] = 4
+    byte = np.arange(24) - _LEAD
+    masks = ((byte >= 0) & (byte < np.arange(18)[:, None])).astype(np.uint8) * np.uint8(255)
+    return ascii4.view(np.uint32).ravel(), zeros.ravel(), masks.view(np.uint64)
+
+
+def _fmt_block(block: np.ndarray) -> list[str]:
+    """CSV lines of a 2-D float table, byte-identical to ``'%.17g' %`` per
+    cell, computed for all cells at once.
+
+    A cell with 1e-280 < |x| < 1e280 gets its 17 digits ``N`` and exponent
+    ``k`` from ``|x| 10^(16-k)`` held as a double-double; the error of that
+    sum is below 2^-46 units of ``N``. A cell whose rounding it cannot settle
+    (within 2^-30 of a tie, every exact tie included), whose ``N`` is not
+    surely in [1e16, 1e17) (``log10`` one off), or that lies outside that
+    range or is not finite, is formatted by ``%`` itself.
+    """
+    rows, cols = block.shape
+    x = block.ravel()
+    n = x.size
+    ax = np.abs(x)
+    fast = (ax > 1e-280) & (ax < 1e280)  # False for 0, NaN and inf
+    # every other cell runs through as 1.0, and is overwritten at the end
+    safe = np.where(fast, ax, 1.0)
+    k = np.floor(np.log10(safe)).astype(np.int64)
+    hi, lo, hh, hl = _pow10_rows(16 - k)
+    # Dekker's two-product: prod + err == safe * hi exactly
+    prod = safe * hi
+    xh, xl = _split(safe)
+    err = ((xh * hh - prod) + xh * hl + xl * hh) + xl * hl
+    corr = err + safe * lo  # prod + corr = |x| 10^(16-k), up to ~1e-14
+    whole = np.floor(corr)
+    frac = corr - whole
+    digits = prod.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    # N = 10^16 also comes from an x just below 10^k whose k is one too big:
+    # keep it only where |x| 10^(16-k) >= 1e16 for sure, or exactly
+    above = (prod - 1e16) + corr
+    exact = (err == 0.0) & (lo == 0.0) & (above == 0.0)
+    fast &= (np.abs(frac - 0.5) > 2.0**-30) & ((above > 2.0**-30) | exact) & (digits < 10**17)
+
+    # N as its leading digit and four groups of 4 (int64 // is vectorized)
+    ascii4, zeros4, masks = _digit_tables()
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    groups = []
+    for scale in (10**12, 10**8, 10**4):
+        groups.append(rest // scale)
+        rest -= groups[-1] * scale
+    groups.append(rest)
+    text = np.zeros((n, 24), dtype=np.uint8)
+    text[:, _LEAD] = lead + 48
+    words = text.view(np.uint32)
+    tz = np.zeros(n, dtype=np.int64)
+    for j, g in enumerate(groups):
+        words[:, 1 + j] = ascii4.take(g)  # bytes 4 + 4j .. 7 + 4j
+    for j, g in enumerate(reversed(groups)):
+        tz += (tz == 4 * j) * zeros4.take(g)
+    # keep the significant digits, and the integer digits of a fixed number
+    fixed = (k >= -4) & (k < 17)
+    keep = np.where(fixed, np.maximum(17 - tz, k + 1), 17 - tz)
+    np.bitwise_and(text.view(np.uint64), masks.take(keep, axis=0), out=text.view(np.uint64))
+    point = np.where(keep > np.where(fixed, k + 1, 1), ord("."), 0)
+
+    # lay out each style on a contiguous run of rows, then put them back
+    style = np.where(fixed, k + 4, _SCI).astype(np.int8)
+    order = np.argsort(style, kind="stable")
+    text, point, k = text.take(order, axis=0), point.take(order), k.take(order)
+    d = _LEAD  # text[:, d + j] is digit j of N
+    cells = np.zeros((n, _CELL), dtype=np.uint8)
+    stop = 0
+    for s, count in enumerate(np.bincount(style, minlength=_SCI + 1)):
+        run = slice(stop, stop + count)
+        stop += count
+        if not count:
+            continue
+        cell, t = cells[run], text[run]
+        if s == _SCI:  # d.ddde+XX
+            e = k[run]
+            cell[:, 1] = t[:, d]
+            cell[:, 2] = point[run]
+            cell[:, 3:19] = t[:, d + 1 : d + 17]
+            cell[:, 19] = ord("e")
+            cell[:, 20] = np.where(e < 0, ord("-"), ord("+"))
+            exp = ascii4.take(np.abs(e)).view(np.uint8).reshape(count, 4)[:, 1:]
+            exp[:, 0] *= np.abs(e) >= 100
+            cell[:, 21:24] = exp
+        elif s >= 4:  # ddd.ddd, k = s - 4 >= 0
+            c = s - 4
+            cell[:, 1 : c + 2] = t[:, d : d + c + 1]
+            cell[:, c + 2] = point[run]
+            cell[:, c + 3 : 19] = t[:, d + c + 1 : d + 17]
+        else:  # 0.000ddd, k = s - 4 < 0
+            c = 4 - s
+            cell[:, 1 : 2 + c] = ord("0")
+            cell[:, 2] = ord(".")
+            cell[:, 2 + c : 19 + c] = t[:, d : d + 17]
+    back = np.empty(n, dtype=np.intp)
+    back[order] = np.arange(n)
+    out = cells.take(back, axis=0)
+
+    out[:, 0] = np.signbit(x) * ord("-")
+    out[~fast, 1:] = 0
+    out[x == 0.0, 1] = ord("0")
+    for i in np.flatnonzero(~fast & (x != 0.0)):
+        own = ("%.17g" % x[i]).encode("ascii")
+        out[i, : len(own)] = np.frombuffer(own, dtype=np.uint8)
+    sep = out[:, _CELL - 1].reshape(rows, cols)
+    sep[:] = ord(",")
+    sep[:, -1] = ord("\n")
+    return out.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
 
 
 def _label(x: float) -> str:

@@ -117,6 +117,37 @@ def norm2_le(rule, *norms: Norm2) -> bool:
     return bool(lhs <= rhs)
 
 
+def _exceeds(tol: float, defect: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``||defect||_2 > tol * max(||a||_2, 1)`` for each matrix of two
+    ``(..., m, n)`` stacks: the test ``norm2_le(within(tol), ...)`` negates,
+    taken per matrix.
+
+    The :class:`Norm2` bounds (the same margin and under/overflow guard),
+    formed for the whole stack at once, settle it for most matrices; the
+    spectral norms are taken only of the matrices whose bounds straddle the
+    threshold, so every outcome is the one the exact norms give.
+    """
+    shape = a.shape[:-2]
+    defect, a = (m.reshape((-1,) + m.shape[-2:]) for m in (defect, a))
+    (d_lo, d_hi), (a_lo, a_hi) = _stack_bounds(defect), _stack_bounds(a)
+    out = d_lo > tol * np.maximum(a_hi, 1.0)
+    unsure = ~out & (d_hi > tol * np.maximum(a_lo, 1.0))
+    if unsure.any():
+        scale = np.maximum(np.linalg.norm(a[unsure], 2, axis=(-2, -1)), 1.0)
+        out[unsure] = np.linalg.norm(defect[unsure], 2, axis=(-2, -1)) > tol * scale
+    return out.reshape(shape)
+
+
+def _stack_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The :class:`Norm2` bounds of each matrix of a ``(k, m, n)`` stack."""
+    with np.errstate(over="ignore"):
+        f = np.linalg.norm(a, axis=(-2, -1))
+    usable = (f > 1e-100) & (f < 1e100)
+    lo = np.where(usable, f / math.sqrt(min(a.shape[-2:])) * (1.0 - NORM_MARGIN), 0.0)
+    unbounded = np.where(a.any(axis=(-2, -1)), math.inf, 0.0)
+    return lo, np.where(usable, f * (1.0 + NORM_MARGIN), unbounded)
+
+
 def within(tol: float):
     """The rule ``defect <= tol * max(scale, 1)`` for :func:`norm2_le`, with
     both ``defect`` and ``scale`` spectral norms."""

@@ -188,15 +188,21 @@ def spectrum(ham: PtHamiltonian, eps_spec: float = DEFAULT_EPS_SPEC) -> Spectrum
     try:
         values = _eigensystem(ham).values.copy()
     except NonDiagonalizable:
-        values = np.linalg.eigvals(ham.H)
-        order = np.lexsort((values.imag, values.real))
-        return SpectrumReport(values[order], PhaseClass.EXCEPTIONAL_POINT)
+        values = _once(ham, "ep_values", lambda: _sorted_eigvals(ham.H)).copy()
+        return SpectrumReport(values, PhaseClass.EXCEPTIONAL_POINT)
     imag = float(np.max(np.abs(values.imag)))
     if norm2_le(lambda s: (imag, eps_spec * max(s, 1.0)), _scale(ham)):
         cls = PhaseClass.REAL
     else:
         cls = PhaseClass.COMPLEX_PAIRS
     return SpectrumReport(values, cls)
+
+
+def _sorted_eigvals(H: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a non-diagonalizable ``H``, by real then imaginary
+    part."""
+    values = np.linalg.eigvals(H)
+    return values[np.lexsort((values.imag, values.real))]
 
 
 def _pt_norms(ham: PtHamiltonian) -> tuple[linalg.EigSystem, np.ndarray]:
@@ -343,15 +349,14 @@ def require_density_matrix(rho, tol: float = DEFAULT_TOL, name: str = "state") -
     rho_h = rho.swapaxes(-1, -2).conj()
     defect = rho - rho_h
     # An exactly zero defect passes any tolerance, and leaves rho its own
-    # hermitian part bit for bit; the 2-norms and the hermitian part are
+    # hermitian part bit for bit; the norm test and the hermitian part are
     # formed only if some matrix has a nonzero defect, the latter halved
     # before the sum so that it cannot overflow.
     not_herm = defect.any(axis=(-2, -1))
     herm = rho
     if not_herm.any():
         herm = rho / 2.0 + rho_h / 2.0
-        scale = np.maximum(np.linalg.norm(rho, 2, axis=(-2, -1)), 1.0)
-        not_herm &= np.linalg.norm(defect, 2, axis=(-2, -1)) > tol * scale
+        not_herm &= linalg._exceeds(tol, defect, rho)
     trace = rho.trace(axis1=-2, axis2=-1)
     bad_trace = np.abs(trace.real - 1.0) > max(tol, 1e-12)
     # a 0 x 0 matrix has no eigenvalues, and fails only on its trace

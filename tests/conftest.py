@@ -77,6 +77,24 @@ def count_spectral_norms(monkeypatch) -> list:
     return calls
 
 
+def count_svds(monkeypatch) -> list:
+    """Wrap numpy's ``svd``, both the public name and the one that
+    ``np.linalg.norm(x, 2)`` calls, so each call appends its first
+    argument's shape to the returned list."""
+    calls = []
+    inner = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return inner(a, *args, **kwargs)
+
+    # numpy >= 2 keeps the implementation in numpy.linalg._linalg
+    module = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(module, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
 @pytest.fixture
 def raise_float_errors():
     """Every floating-point overflow, invalid operation and division by zero

@@ -1,11 +1,22 @@
+import decimal
 import hashlib
+import math
 import re
+import struct
 import sys
 
 import numpy as np
 import pytest
 
 from ptdeco import cli, dephasing, oracle, pt_core
+
+from .conftest import count_calls
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # a test extra: only the property test needs it
+    given = None
 
 pytestmark = pytest.mark.filterwarnings("ignore::ptdeco.errors.TruncationWarning")
 
@@ -372,14 +383,143 @@ class TestEntryPoint:
         assert res.stdout.strip() == "[]"
 
 
+def per_cell(table):
+    """The reference CSV lines: one ``%.17g`` (``cli._fmt``) per cell."""
+    return [",".join(cli._fmt(v) for v in row) for row in np.asarray(table).tolist()]
+
+
+def exact_ties():
+    """Doubles whose exact decimal expansion has 18 significant digits and
+    ends in 5: ties at the 17th digit, from 1e-8 to 1e14."""
+    values = []
+    for j in range(4, 27):  # m 2^-j = m 5^j 10^-j, with m odd
+        lo, hi = -(-(10**17) // 5**j), (10**18 - 1) // 5**j
+        for m in np.linspace(lo, min(hi, 2**53), 5).astype(np.int64) | 1:
+            if lo <= m <= hi:
+                values.append(math.ldexp(float(m), -j))
+    return values
+
+
+def edge_values():
+    """Powers of ten and their neighbours, the fixed/scientific switches and
+    the array writer's range ends, each with its neighbours; exact ties."""
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280])
+    near = (switches[:, None] * (1.0 + np.arange(-6, 7) * 2.0**-52)).ravel()
+    values = np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), near, exact_ties()]
+    )
+    return np.concatenate([values, -values])
+
+
+def as_table(values, cols):
+    """``values`` as rows of ``cols`` cells, the last row padded with 1.5."""
+    values = np.asarray(values, dtype=float)
+    pad = np.full(-values.size % cols, 1.5)
+    return np.concatenate([values, pad]).reshape(-1, cols)
+
+
+def mixed_table(rng, rows, cols):
+    """Cells over many magnitudes, with zeros, signed zeros and integers."""
+    table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-30, 30, size=(rows, cols))
+    table[::7, 0] = 0.0
+    table[3::11, -1] = -0.0
+    table[5::13, 1 % cols] = rng.integers(-1000, 1000, size=table[5::13].shape[0])
+    return table
+
+
+#: SHA-256 of the CSV bytes, and of its parsed cells as float64, of two
+#: bench-shaped runs as the one-``%``-per-row writer wrote them.
+GOLDEN = {
+    "figure1": (
+        ["figure1", "--alpha", "0,0.3,0.5,0.7,0.9,0.99,1", "--n-points", "4000"],
+        "c00ad1ff893a1158bf53c6d89f26a338f3b66dd6fa4d34df5cda9c74e4dc17f8",
+        "c4e9b645b1868b5eb23fdec63b3ab2562bd3e38cede65d685c90518e521885b7",
+    ),
+    "evolve-pt": (
+        ["evolve", "--representation", "pt", "--n-points", "4000"],
+        "5acc2b43e4886f356e2c0d16e13859111f23d9663eeb38751a2a9647f593d3ae",
+        "148d73aa7e84b99838307aa652ac94559f8781a4215d52b36ac6e5027cc82219",
+    ),
+}
+
+
 class TestRowFormatting:
     def test_rows_match_per_cell_format(self, rng):
         special = [-0.0, 5e-324, 1e308, 0.1, 1 / 3, 2.0]
         random_row = list(rng.normal(size=6) * 10.0 ** rng.integers(-300, 300, size=6))
         table = [special, random_row]
-        expected = [",".join(cli._fmt(v) for v in row) for row in table]
+        expected = per_cell(table)
         assert cli._fmt_rows(table) == expected
+        assert cli._fmt_block(np.array(table)) == expected
         assert expected[0] == "-0,4.9406564584124654e-324,1e+308,0.10000000000000001,0.33333333333333331,2"
+
+    if given is not None:
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(
+            cols=st.integers(1, 6),
+            cells=st.lists(
+                st.one_of(
+                    st.integers(0, 2**64 - 1).map(
+                        lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]
+                    ),
+                    st.floats(),  # NaN, +-inf, +-0 and subnormals come often
+                ),
+                min_size=1,
+                max_size=48,
+            ),
+        )
+        def test_array_writer_on_any_bit_pattern(self, cols, cells):
+            table = as_table(cells, cols)
+            assert cli._fmt_block(table) == per_cell(table)
+
+    @pytest.mark.parametrize("cols", [1, 8])
+    def test_array_writer_on_edge_families(self, cols):
+        table = as_table(edge_values(), cols)
+        assert cli._fmt_block(table) == per_cell(table)
+
+    def test_ties_are_ties(self):
+        # the 17-digit rounding of each of these is an exact tie
+        ties = exact_ties()
+        assert len(ties) > 50
+        for x in ties:
+            digits = decimal.Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5, x
+
+    def test_small_tables_take_percent(self, rng, monkeypatch):
+        blocks = count_calls(monkeypatch, cli, "_fmt_block")
+        cols = 8
+        below = mixed_table(rng, cli._ARRAY_MIN_CELLS // cols - 1, cols)
+        assert below.size < cli._ARRAY_MIN_CELLS
+        assert cli._fmt_rows(below) == per_cell(below)
+        assert blocks == []
+        at = mixed_table(rng, -(-cli._ARRAY_MIN_CELLS // cols), cols)
+        assert cli._fmt_rows(at) == per_cell(at)
+        assert blocks == [at.shape]
+
+    @pytest.mark.parametrize("cols", [3, 8])
+    def test_blocks_cover_the_table(self, rng, monkeypatch, cols):
+        blocks = count_calls(monkeypatch, cli, "_fmt_block")
+        step = cli._BLOCK_CELLS // cols
+        table = mixed_table(rng, 2 * step + 3, cols)
+        assert cli._fmt_rows(table) == per_cell(table)
+        assert blocks == [(step, cols), (step, cols), (3, cols)]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_csv(self, tmp_path, name):
+        argv, csv_sha, cells_sha = GOLDEN[name]
+        out = tmp_path / "golden.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        data = out.read_bytes()
+        lines = [line for line in data.decode().splitlines() if not line.startswith("#")]
+        cells = [line.split(",") for line in lines[1:]]  # after the column names
+        # %.17g round-trips: every cell is its own %.17g exactly when written right
+        assert all(cli._fmt(float(c)) == c for row in cells for c in row)
+        values = np.array(cells, dtype=float)
+        if hashlib.sha256(values.tobytes()).hexdigest() != cells_sha:
+            pytest.skip("this build's numerics differ in the last bits from the golden run")
+        assert hashlib.sha256(data).hexdigest() == csv_sha
 
 
 class TestCriticalPointRepresentation:

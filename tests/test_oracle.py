@@ -8,7 +8,7 @@ from ptdeco import dephasing, oracle
 from ptdeco.dephasing import DephasingModel, SpectralDensity
 from ptdeco.errors import DimensionCap, LengthMismatch, TruncationWarning
 
-from .conftest import count_calls
+from .conftest import count_calls, count_svds
 from .oracles import expm_series, kron_loops, ptrace_env_loops, sector_dynamics_dense
 
 pytestmark = pytest.mark.filterwarnings("ignore::ptdeco.errors.TruncationWarning")
@@ -337,6 +337,14 @@ class TestFactorizedSectors:
             0.6, bath, 0.5, oracle.DEFAULT_INITIAL_STATE, np.linspace(0.0, 5.0, 21)
         )
         assert calls == [(2, 2), (21, 2, 2)]
+
+    def test_comparison_takes_no_svd(self, monkeypatch):
+        # the brute-force states are hermitian only to rounding (a defect of
+        # ~1e-16 against the 1e-9 tolerance): their Frobenius bounds settle it
+        bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=15.0, fock_dim=4)
+        svds = count_svds(monkeypatch)
+        oracle.run_comparison(0.6, bath, 0.5, np.linspace(0.0, 5.0, 21))
+        assert svds == []
 
     def test_thermal_warning_once_per_call(self):
         bath = oracle.DiscreteBath(omegas=[0.5, 0.9], gs=[0.1, 0.1], fock_dim=3)

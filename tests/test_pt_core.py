@@ -547,10 +547,16 @@ class TestSpectralMemo:
         with pytest.raises(ValueError):
             ham.H[0, 0] = 2.0
 
-    def test_exceptional_point_outcome_is_kept(self):
+    def test_exceptional_point_outcome_is_kept(self, monkeypatch):
         ham = pt_qubit(1.0)
-        for _ in range(2):
-            assert pt_core.spectrum(ham).classification is PhaseClass.EXCEPTIONAL_POINT
+        eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
+        reports = [pt_core.spectrum(ham) for _ in range(3)]
+        assert eigvals == [(2, 2)]  # the EP eigenvalues, once per instance
+        for report in reports:
+            assert report.classification is PhaseClass.EXCEPTIONAL_POINT
+        reports[0].eigenvalues[:] = 1.0  # no alias of the memo
+        np.testing.assert_array_equal(pt_core.spectrum(ham).eigenvalues, reports[1].eigenvalues)
+        assert not (reports[1].eigenvalues == 1.0).any()
         with pytest.raises(ExceptionalPoint):
             pt_core.canonical_transform(ham)
         with pytest.raises(ExceptionalPoint):
@@ -735,9 +741,25 @@ class TestExactDefectSkipsNorms:
         assert calls == []
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
         pt_core.require_density_matrix(rho + 1e-13 * skew)
-        assert calls == [(2, 2), (2, 2)]  # ||rho||_2 and ||rho - rho^dag||_2
         with pytest.raises(NotDensityMatrix):
             pt_core.require_density_matrix(rho + 1e-3 * skew)
+        assert calls == []  # both settled by the Frobenius bounds
+
+    @pytest.mark.parametrize("multiple", [0.95, 1.05])
+    def test_straddling_defect_takes_the_exact_norms(self, monkeypatch, multiple):
+        # the defect i s diag(1, 1/2) has ||.||_2 = s = multiple * tol and
+        # Frobenius bounds [0.79 s, 1.12 s]: they straddle tol, the SVDs decide
+        rho = np.array([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]])
+        state = rho + 0.5j * multiple * linalg.DEFAULT_TOL * np.diag([1.0, 0.5])
+        expected = density_verdict(state, linalg.DEFAULT_TOL, "s")
+        assert (expected is None) == (multiple < 1.0)
+        calls = count_spectral_norms(monkeypatch)
+        if expected is None:
+            pt_core.require_density_matrix(state, name="s")
+        else:
+            with pytest.raises(NotDensityMatrix, match="^s is not hermitian"):
+                pt_core.require_density_matrix(state, name="s")
+        assert calls == [(1, 2, 2), (1, 2, 2)]  # ||rho||_2 and the defect's
 
     def test_parity_involution(self, monkeypatch):
         calls = count_calls(monkeypatch, linalg, "norm2")  # the bounds' fallback
@@ -771,9 +793,28 @@ class TestStackedDensityCheck:
         assert self.loop_verdict(stack) is None
         calls = count_spectral_norms(monkeypatch)
         out = pt_core.require_density_matrix(stack, name="s")
-        assert calls == [stack.shape] * 2  # one call per norm for the whole stack
+        assert calls == []  # every defect settled by the Frobenius bounds
         assert out.shape == stack.shape and out.dtype == complex
         np.testing.assert_array_equal(out, stack)
+
+    @pytest.mark.parametrize("multiple", [0.95, 1.05])
+    def test_only_straddling_members_take_norms(self, rng, monkeypatch, multiple):
+        stack = np.array([random_density_matrix(rng, 3) for _ in range(5)])
+        stack[1] = stack[1] + 1e-13 * random_hermitian(rng, 3) * 1j
+        # the defect i s diag(1, 1/2, 0) has ||.||_2 = s = multiple * tol and
+        # Frobenius bounds [0.65 s, 1.12 s], at ||rho||_2 < 1: they straddle tol
+        defect = 1j * multiple * linalg.DEFAULT_TOL * np.diag([1.0, 0.5, 0.0])
+        stack[3] = np.diag([0.2, 0.3, 0.5]) + defect / 2.0
+        expected = self.loop_verdict(stack)
+        assert (expected is None) == (multiple < 1.0)
+        calls = count_spectral_norms(monkeypatch)
+        if expected is None:
+            pt_core.require_density_matrix(stack, name="s")
+        else:
+            with pytest.raises(NotDensityMatrix) as info:
+                pt_core.require_density_matrix(stack, name="s")
+            assert str(info.value) == expected == "s[3] is not hermitian within tol"
+        assert calls == [(1, 3, 3), (1, 3, 3)]  # stack[3] alone
 
     def test_real_stack_is_returned_complex(self):
         stack = np.repeat(np.diag([0.25, 0.75])[None], 3, axis=0)
