@@ -3,8 +3,9 @@
 Configuration is a flat ``key=value`` text file plus command-line overrides
 (last one wins). Every CSV is schema-stable: '#'-prefixed header comments,
 fixed column order, 17-significant-digit numbers, no locale dependence,
-byte-for-byte reproducible on identical configuration. Exit codes: 0
-success, 1 numerical/validation failure, 2 usage or configuration error.
+byte-for-byte reproducible on identical configuration on the same numpy
+build and CPU (the cells depend on numpy's exp/sin/cos kernels). Exit codes:
+0 success, 1 numerical/validation failure, 2 usage or configuration error.
 
 All outputs use hbar = 1.
 """
@@ -18,6 +19,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -353,7 +355,7 @@ def load_config_file(path: str, base: ScenarioConfig) -> ScenarioConfig:
                     updates[field_name] = parser(value.strip())
                 except (ValueError, ConfigError, argparse.ArgumentTypeError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return replace(base, **updates)
 
@@ -368,40 +370,6 @@ _FLAG_SETTINGS = {
     ),
     "representation": dict(choices=["hermitian", "pt"]),
 }
-
-#: The flags every CSV-writing subcommand reads: output, bath and time grid.
-_CSV_FLAGS = ("out", "beta", "mu", "j0", "omega_c", "t_end", "n_points")
-
-#: Help text and flags of each subcommand: each takes only the flags it reads.
-_SUBCOMMANDS = {
-    "spectrum": ("eigenvalues and phase classification over an alpha grid", ()),
-    "figure1": ("decoherence-function family D(t; alpha) as CSV", _CSV_FLAGS + ("tol",)),
-    "evolve": (
-        "exact reduced qubit trajectory as CSV",
-        _CSV_FLAGS + ("tol", "state", "representation"),
-    ),
-    "oracle-compare": (
-        "brute-force bath validation report as CSV",
-        _CSV_FLAGS + ("modes", "fock_dim", "omega_max", "compare_tol"),
-    ),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ptdeco",
-        description="Dephasing dynamics of PT-symmetric qubits (hbar = 1).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (helptext, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", metavar="PATH", help="key=value configuration file")
-        p.add_argument("--alpha", metavar="LIST", help="comma-separated alpha values")
-        for flag in flags:
-            settings = _FLAG_SETTINGS.get(flag) or dict(type=_CONFIG_PARSERS[flag][1])
-            p.add_argument("--" + flag.replace("_", "-"), dest=flag, **settings)
-    return parser
-
 
 def build_config(args: argparse.Namespace, base: ScenarioConfig) -> ScenarioConfig:
     cfg = base
@@ -427,22 +395,24 @@ def build_config(args: argparse.Namespace, base: ScenarioConfig) -> ScenarioConf
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it; an OS
+    error is a config error, and leaves no temporary file."""
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
         )
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; keep open()'s mode
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -469,19 +439,24 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
     return 0
 
 
-def _header(cmd: str, cfg: ScenarioConfig, extra: list[str] | None = None) -> list[str]:
+def _write_csv(cfg: ScenarioConfig, command: str, names, table, extra) -> str:
+    """Write the CSV of ``command``: the header comments, ``extra`` comment
+    lines, the column names and the rows of ``table``. Returns its path."""
     lines = [
-        f"# ptdeco {cmd}",
+        f"# ptdeco {command}",
         "# hbar = 1",
         f"# j0 = {_fmt(cfg.j0)} mu = {_fmt(cfg.mu)} omega_c = {_fmt(cfg.omega_c)} "
         f"beta = {_fmt(cfg.beta)}",
         f"# alphas = {','.join(_label(a) for a in cfg.alphas)}",
         f"# t_start = {_fmt(cfg.t_start)} t_end = {_fmt(cfg.t_end)} "
         f"n_points = {cfg.n_points} tol = {_fmt(cfg.tol)}",
+        *extra,
+        ",".join(names),
+        *_fmt_rows(table),
     ]
-    if extra:
-        lines.extend(extra)
-    return lines
+    out = cfg.out or command.replace("-", "_") + ".csv"
+    _write_atomic(out, "\n".join(lines) + "\n")
+    return out
 
 
 def cmd_figure1(cfg: ScenarioConfig) -> int:
@@ -490,11 +465,8 @@ def cmd_figure1(cfg: ScenarioConfig) -> int:
     table = dephasing.sweep_alpha(
         cfg.alphas, cfg.times(), models[0].spectral, cfg.beta, tol=cfg.tol
     )
-    lines = _header("figure1", cfg)
-    lines.append("t," + ",".join(f"D_alpha={_label(a)}" for a in cfg.alphas))
-    lines.extend(_fmt_rows(np.column_stack((table.times, table.decoherence))))
-    out = cfg.out or "figure1.csv"
-    _write_atomic(out, "\n".join(lines) + "\n")
+    names = ["t"] + [f"D_alpha={_label(a)}" for a in cfg.alphas]
+    out = _write_csv(cfg, "figure1", names, np.column_stack((table.times, table.decoherence)), ())
     print(f"wrote {out}")
     return 0
 
@@ -521,12 +493,11 @@ def cmd_evolve(cfg: ScenarioConfig) -> int:
         rhos = pt_core.map_state_back(rhos, cmap)
     entries = rhos.reshape(times.size, 4)
     parts = np.stack((entries.real, entries.imag), axis=-1).reshape(times.size, 8)
-    lines = _header("evolve", cfg, [f"# representation = {cfg.representation}"])
-    names = [f"rho{i}{j}_{part}" for i in (1, 2) for j in (1, 2) for part in ("re", "im")]
-    lines.append(",".join(["t"] + names))
-    lines.extend(_fmt_rows(np.column_stack((times, parts))))
-    out = cfg.out or "evolve.csv"
-    _write_atomic(out, "\n".join(lines) + "\n")
+    names = ["t"] + [f"rho{i}{j}_{part}" for i in (1, 2) for j in (1, 2) for part in ("re", "im")]
+    out = _write_csv(
+        cfg, "evolve", names, np.column_stack((times, parts)),
+        [f"# representation = {cfg.representation}"],
+    )
     print(f"wrote {out}")
     return 0
 
@@ -537,64 +508,93 @@ def cmd_oracle_compare(cfg: ScenarioConfig) -> int:
     bath = _checked(
         oracle.discretize_bath, models[0].spectral, cfg.modes, cfg.omega_max, cfg.fock_dim
     )
-    times = cfg.times()
-
-    reports = [oracle.run_comparison(m.alpha, bath, m.beta, times) for m in models]
-    pooled_c, pooled_resid = oracle.fit_decay_constant(
-        np.concatenate([r.exponents for r in reports]),
-        np.concatenate([r.brute_decoherence for r in reports]),
-    )
+    r = oracle.run_comparison(cfg.alphas, bath, cfg.beta, cfg.times())
 
     extra = [
         f"# modes = {cfg.modes} fock_dim = {cfg.fock_dim} omega_max = {_fmt(cfg.omega_max)}",
-        f"# pooled fitted c = {_fmt(pooled_c)} pooled residual = {_fmt(pooled_resid)}",
+        f"# pooled fitted c = {_fmt(r.fitted_c)} pooled residual = {_fmt(r.fit_residual)}",
     ]
-    lines = _header("oracle-compare", cfg, extra)
-    lines.append("alpha,t,exponent,D_analytic,D_brute,dev_D,dev_rho")
-    for a, r in zip(cfg.alphas, reports):
-        columns = [np.full(times.size, a), times, r.exponents, r.analytic_decoherence]
-        columns += [r.brute_decoherence, r.dev_decoherence, r.dev_rho]
-        lines.extend(_fmt_rows(np.column_stack(columns)))
-    out = cfg.out or "oracle_compare.csv"
-    _write_atomic(out, "\n".join(lines) + "\n")
+    names = ["alpha", "t", "exponent", "D_analytic", "D_brute", "dev_D", "dev_rho"]
+    columns = (r.alphas[:, None], r.times, r.exponents, r.analytic_decoherence)
+    columns += (r.brute_decoherence, r.dev_decoherence, r.dev_rho)
+    table = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(names))
+    out = _write_csv(cfg, "oracle-compare", names, table, extra)
 
-    ok = pooled_resid <= cfg.compare_tol
-    status = "PASS" if ok else "FAIL"
+    ok = r.passes(cfg.compare_tol)
     print(
-        f"{status} fitted_c={_fmt(pooled_c)} residual={_fmt(pooled_resid)} "
-        f"tolerance={_fmt(cfg.compare_tol)} max_abs_dev={_fmt(max(r.max_abs_dev for r in reports))} "
-        f"fock_tail={_fmt(max(r.fock_tail for r in reports))}"
+        f"{'PASS' if ok else 'FAIL'} fitted_c={_fmt(r.fitted_c)} residual={_fmt(r.fit_residual)} "
+        f"tolerance={_fmt(cfg.compare_tol)} max_abs_dev={_fmt(r.max_abs_dev)} "
+        f"fock_tail={_fmt(r.fock_tail)}"
     )
     print(f"wrote {out}")
     return 0 if ok else FAILURE_EXIT
 
 
-_COMMAND_DEFAULTS = {
-    "spectrum": ScenarioConfig(alphas=(0.0, 0.5, 0.9, 1.0, 1.1, 1.5)),
-    "figure1": ScenarioConfig(),
-    "evolve": ScenarioConfig(alphas=(0.6,)),
-    "oracle-compare": ScenarioConfig(
-        alphas=(0.0, 0.6),
-        **asdict(oracle.DEFAULT_SPECTRAL),  # j0, mu, omega_c
-        t_end=5.0,
-        n_points=21,
+class Subcommand(NamedTuple):
+    help: str
+    flags: tuple[str, ...]  # the flags it reads, past --config and --alpha
+    defaults: ScenarioConfig
+    run: Callable[[ScenarioConfig], int]
+
+
+#: The flags every CSV-writing subcommand reads: output, bath and time grid.
+_CSV_FLAGS = ("out", "beta", "mu", "j0", "omega_c", "t_end", "n_points")
+
+_SUBCOMMANDS = {
+    "spectrum": Subcommand(
+        "eigenvalues and phase classification over an alpha grid",
+        (),
+        ScenarioConfig(alphas=(0.0, 0.5, 0.9, 1.0, 1.1, 1.5)),
+        cmd_spectrum,
+    ),
+    "figure1": Subcommand(
+        "decoherence-function family D(t; alpha) as CSV",
+        _CSV_FLAGS + ("tol",),
+        ScenarioConfig(),
+        cmd_figure1,
+    ),
+    "evolve": Subcommand(
+        "exact reduced qubit trajectory as CSV",
+        _CSV_FLAGS + ("tol", "state", "representation"),
+        ScenarioConfig(alphas=(0.6,)),
+        cmd_evolve,
+    ),
+    "oracle-compare": Subcommand(
+        "brute-force bath validation report as CSV",
+        _CSV_FLAGS + ("modes", "fock_dim", "omega_max", "compare_tol"),
+        ScenarioConfig(
+            alphas=(0.0, 0.6),
+            **asdict(oracle.DEFAULT_SPECTRAL),  # j0, mu, omega_c
+            t_end=5.0,
+            n_points=21,
+        ),
+        cmd_oracle_compare,
     ),
 }
 
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "figure1": cmd_figure1,
-    "evolve": cmd_evolve,
-    "oracle-compare": cmd_oracle_compare,
-}
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ptdeco",
+        description="Dephasing dynamics of PT-symmetric qubits (hbar = 1).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", metavar="PATH", help="key=value configuration file")
+        p.add_argument("--alpha", metavar="LIST", help="comma-separated alpha values")
+        for flag in command.flags:
+            settings = _FLAG_SETTINGS.get(flag) or dict(type=_CONFIG_PARSERS[flag][1])
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, **settings)
+    return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = build_config(args, _COMMAND_DEFAULTS[args.command])
-        return _COMMANDS[args.command](cfg)
+        command = _SUBCOMMANDS[args.command]
+        return command.run(build_config(args, command.defaults))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -8,12 +8,13 @@ eigendecomposition of the stack of N mode blocks (d_F x d_F) per sector,
 then phases for all times. The sigma_x-basis coherence decay is compared
 against ``exp(-c E1^2 gamma_N(t))`` with the discrete-sum ``gamma_N``
 replacing the bath integral, so both sides share the same finite bath.
-Each side is evaluated once over the whole time grid: one ``gamma_N`` sum,
-one stack of closed-form states and one stack of brute-force states per
-alpha. The fitted ``c`` converges to 4 as the truncation is raised: the
-sectors see the bath displaced by ``+-E1 g_n``, and the splitting ``2|E1|``
-enters the exponent squared (Palma, Suominen & Ekert, Proc. R. Soc. A 452,
-567 (1996)).
+:func:`run_comparison` returns one report for a whole alpha grid: one
+``gamma_N`` sum for the run, then one stack of closed-form states and one
+stack of brute-force states per alpha over the whole time grid, one ``c``
+fitted to all of them, and the PASS verdict. The fitted ``c`` converges to
+4 as the truncation is raised: the sectors see the bath displaced by
+``+-E1 g_n``, and the splitting ``2|E1|`` enters the exponent squared
+(Palma, Suominen & Ekert, Proc. R. Soc. A 452, 567 (1996)).
 
 This module is deliberately naive: exact per-mode evolution, midpoint
 discretization, no bath-scaling tricks. It must stay simple enough to trust.
@@ -303,54 +304,67 @@ def fit_decay_constant(exponents, decays) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Analytic-vs-brute deviations plus the fitted convention constant."""
+    """Analytic-vs-brute comparison over an alpha grid, with the verdict.
 
+    Per-time values are ``(n_alpha, n_times)`` arrays, a row per alpha. The
+    fit of c pools every alpha and time; ``fock_tail`` is the largest of the
+    alphas' dynamical tails.
+    """
+
+    alphas: np.ndarray
     times: np.ndarray
     exponents: np.ndarray  # E1^2 gamma_N(t)
     analytic_decoherence: np.ndarray
     brute_decoherence: np.ndarray
     dev_decoherence: np.ndarray
-    dev_rho: np.ndarray | None
+    dev_rho: np.ndarray  # per-time maximal entry deviation of the states
     max_abs_dev: float
     fitted_c: float
     fit_residual: float
     fock_tail: float
 
+    def passes(self, compare_tol: float) -> bool:
+        """PASS: the pooled fit's residual is within ``compare_tol``."""
+        return self.fit_residual <= compare_tol
 
-def compare(
-    analytic_d,
-    brute_d,
-    times,
-    exponents,
-    rho_analytic=None,
-    rho_brute=None,
-    fock_tail: float = float("nan"),
-) -> ComparisonReport:
-    """Entrywise deviations and the fitted c of ``D = exp(-c E1^2 gamma_N)``.
 
-    ``analytic_d`` is the literal closed-form decoherence with the discrete
-    gamma_N; ``exponents`` holds ``E1^2 gamma_N(t)``. State trajectories are
-    optional; when given as ``(len(times), 2, 2)`` stacks, per-time maximal
-    entry deviations are reported.
+#: Default initial state for comparison runs: the closed-form solution
+#: requires r11 = 1/2 and Re r12 = 0; full imaginary coherence maximizes
+#: the sigma_x-basis signal.
+DEFAULT_INITIAL_STATE = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
+
+
+def run_comparison(alphas, bath: DiscreteBath, beta: float, times) -> ComparisonReport:
+    """Compare the closed form with the brute-force dynamics at each alpha on
+    one shared bath, from ``DEFAULT_INITIAL_STATE``.
+
+    ``gamma_N`` is summed once for the whole grid; the literal closed form
+    ``D = exp(-E1^2 gamma_N)`` is compared entrywise, and c of
+    ``D = exp(-c E1^2 gamma_N)`` is fitted to the brute-force decays of all
+    alphas at once.
     """
-    analytic_d = np.asarray(analytic_d, dtype=float)
-    brute_d = np.asarray(brute_d, dtype=float)
-    times = np.asarray(times, dtype=float)
-    exponents = np.asarray(exponents, dtype=float)
-    if not (analytic_d.shape == brute_d.shape == times.shape == exponents.shape):
-        raise LengthMismatch("all per-time sequences must share the same length")
+    varrho0_S = DEFAULT_INITIAL_STATE
+    alphas = [float(a) for a in alphas]
+    times = np.asarray(list(times), dtype=float)
+    e1 = np.array([dephasing.qubit_energies(a)[0] for a in alphas])
+    gamma = dephasing.gamma_discrete(bath.omegas, bath.gs, beta, times)
+    exponents = (e1 * e1)[:, None] * gamma
+    analytic_d = np.exp(-exponents)
+
+    brute_d = np.empty_like(exponents)
+    dev_rho = np.empty_like(exponents)
+    fock_tail = 0.0
+    for i, alpha in enumerate(alphas):
+        states, tail = brute_force_dynamics(alpha, bath, beta, varrho0_S, times)
+        brute_d[i] = np.abs(coherence_sx(states)) / abs(coherence_sx(varrho0_S))
+        rho_analytic = dephasing.evolve_exact_given_d(varrho0_S, e1[i], times, analytic_d[i])
+        dev_rho[i] = np.abs(rho_analytic - states).max(axis=(-2, -1))
+        fock_tail = max(fock_tail, tail)
 
     dev_d = np.abs(analytic_d - brute_d)
-    dev_rho = None
-    if rho_analytic is not None or rho_brute is not None:
-        if rho_analytic is None or rho_brute is None or len(rho_analytic) != len(
-            rho_brute
-        ) or len(rho_analytic) != times.size:
-            raise LengthMismatch("state trajectories must align with times")
-        dev_rho = np.abs(np.subtract(rho_analytic, rho_brute)).max(axis=(-2, -1))
-
-    c, resid = fit_decay_constant(exponents, brute_d)
+    c, resid = fit_decay_constant(exponents.ravel(), brute_d.ravel())
     return ComparisonReport(
+        alphas=np.array(alphas),
         times=times,
         exponents=exponents,
         analytic_decoherence=analytic_d,
@@ -360,40 +374,5 @@ def compare(
         max_abs_dev=float(np.max(dev_d, initial=0.0)),
         fitted_c=c,
         fit_residual=resid,
-        fock_tail=fock_tail,
-    )
-
-
-#: Default initial state for comparison runs: the closed-form solution
-#: requires r11 = 1/2 and Re r12 = 0; full imaginary coherence maximizes
-#: the sigma_x-basis signal.
-DEFAULT_INITIAL_STATE = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
-
-
-def run_comparison(
-    alpha: float,
-    bath: DiscreteBath,
-    beta: float,
-    times,
-) -> ComparisonReport:
-    """Drive one full analytic-vs-brute comparison on a shared bath, from
-    ``DEFAULT_INITIAL_STATE``."""
-    varrho0_S = DEFAULT_INITIAL_STATE
-    times = np.asarray(list(times), dtype=float)
-    e1, _ = dephasing.qubit_energies(alpha)
-    exponents = e1 * e1 * dephasing.gamma_discrete(bath.omegas, bath.gs, beta, times)
-    analytic_d = np.exp(-exponents)
-
-    states, fock_tail = brute_force_dynamics(alpha, bath, beta, varrho0_S, times)
-    brute_d = np.abs(coherence_sx(states)) / abs(coherence_sx(varrho0_S))
-
-    rho_analytic = dephasing.evolve_exact_given_d(varrho0_S, e1, times, analytic_d)
-    return compare(
-        analytic_d,
-        brute_d,
-        times,
-        exponents,
-        rho_analytic=rho_analytic,
-        rho_brute=states,
         fock_tail=fock_tail,
     )

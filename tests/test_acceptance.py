@@ -183,35 +183,16 @@ def test_criterion_4_channel_suite():
     )
 
 
-# module-level cache so criteria 5 and 6 share the expensive brute-force runs
-_brute_cache = {}
-
-
-def _criterion5_runs():
-    if _brute_cache:
-        return _brute_cache
-    beta = 0.5
+def test_criterion_5_oracle_equivalence():
+    start = time.monotonic()
     times = np.linspace(0.0, 5.0, 21)
+    fits = {}
     for fock in (5, 7):
         bath = oracle.discretize_bath(
             oracle.DEFAULT_SPECTRAL, n_modes=3, omega_max=15.0, fock_dim=fock
         )
-        runs = {}
-        for alpha in (0.0, 0.6):
-            runs[alpha] = oracle.run_comparison(alpha, bath, beta, times)
-        _brute_cache[fock] = runs
-    _brute_cache["times"] = times
-    return _brute_cache
-
-
-def test_criterion_5_oracle_equivalence():
-    start = time.monotonic()
-    runs = _criterion5_runs()
-    fits = {}
-    for fock in (5, 7):
-        x = np.concatenate([runs[fock][a].exponents for a in (0.0, 0.6)])
-        y = np.concatenate([runs[fock][a].brute_decoherence for a in (0.0, 0.6)])
-        fits[fock] = oracle.fit_decay_constant(x, y)
+        rep = oracle.run_comparison((0.0, 0.6), bath, 0.5, times)
+        fits[fock] = (rep.fitted_c, rep.fit_residual)
     elapsed = time.monotonic() - start
 
     c5, resid5 = fits[5]

@@ -118,6 +118,18 @@ class TestFigure1Command:
         assert not out.parent.exists()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("trailing", ["", "/"])
+    def test_directory_out_is_config_error(self, tmp_path, capsys, trailing):
+        # the temporary file is written, and the replace onto a directory fails
+        out = tmp_path / "taken"
+        out.mkdir()
+        path = str(out) + trailing
+        assert run(["figure1", "--out", path, "--n-points", "3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and err[0].startswith(f"config error: cannot write {path}: ")
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
 
 class TestEvolveCommand:
     def test_maximally_mixed_constant(self, tmp_path):
@@ -225,7 +237,7 @@ class TestOracleCompareCommand:
 
     def test_defaults_are_the_oracle_constants(self):
         args = cli.build_parser().parse_args(["oracle-compare"])
-        cfg = cli.build_config(args, cli._COMMAND_DEFAULTS["oracle-compare"])
+        cfg = cli.build_config(args, cli._SUBCOMMANDS["oracle-compare"].defaults)
         assert (cfg.modes, cfg.fock_dim, cfg.omega_max) == (
             oracle.DEFAULT_N_MODES, oracle.DEFAULT_FOCK_DIM, oracle.DEFAULT_OMEGA_MAX
         )
@@ -265,6 +277,14 @@ class TestConfigHandling:
 
     def test_missing_file_rejected(self, capsys):
         assert run(["figure1", "--config", "/nonexistent/x.cfg"]) == 2
+
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "latin1.cfg"
+        cfgfile.write_bytes(b"beta = 0.5 # \xff\n")
+        assert run(["figure1", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: cannot read config {cfgfile}: ")
 
     def test_bad_value_rejected(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
@@ -428,18 +448,42 @@ def mixed_table(rng, rows, cols):
     return table
 
 
-#: SHA-256 of the CSV bytes, and of its parsed cells as float64, of two
-#: bench-shaped runs as the one-``%``-per-row writer wrote them.
+#: SHA-256 of the CSV bytes, and of its parsed cells as float64, of
+#: bench-shaped and default runs as the one-``%``-per-row writer wrote them,
+#: with the verdict line each printed first (None for "wrote PATH").
 GOLDEN = {
     "figure1": (
         ["figure1", "--alpha", "0,0.3,0.5,0.7,0.9,0.99,1", "--n-points", "4000"],
         "c00ad1ff893a1158bf53c6d89f26a338f3b66dd6fa4d34df5cda9c74e4dc17f8",
         "c4e9b645b1868b5eb23fdec63b3ab2562bd3e38cede65d685c90518e521885b7",
+        None,
     ),
     "evolve-pt": (
         ["evolve", "--representation", "pt", "--n-points", "4000"],
         "5acc2b43e4886f356e2c0d16e13859111f23d9663eeb38751a2a9647f593d3ae",
         "148d73aa7e84b99838307aa652ac94559f8781a4215d52b36ac6e5027cc82219",
+        None,
+    ),
+    "evolve-hermitian": (
+        ["evolve", "--representation", "hermitian", "--n-points", "4000"],
+        "3314909dc5021c6ca20994546517fb432e53f031875c06740a5dfb5a0473c58e",
+        "454cafb9c793daafe52fcbec8b2df03938fada3e9ebd203de7dd206b25f248ac",
+        None,
+    ),
+    "oracle-compare": (
+        ["oracle-compare"],
+        "deb9a551f926852766e95fd49897f6a0a557b8bddfc73d4697fe8f2980c6bbf0",
+        "4abd37a09fafe865cef88f5103dbcf09923a0cd951e0697ce99ff89c0c1f2cba",
+        "PASS fitted_c=3.900854107777008 residual=0.0051019774353794345 tolerance=0.01 "
+        "max_abs_dev=0.18270144580865588 fock_tail=0.0057811502837847419",
+    ),
+    # 4 x 101 rows of 7 cells: past _ARRAY_MIN_CELLS as one table
+    "oracle-compare-4alpha": (
+        ["oracle-compare", "--alpha", "0,0.3,0.6,0.9", "--n-points", "101"],
+        "a45724255438121aa38ec5cbdef0e9faa2d70518e3fe462e5e84b89cd540f6b2",
+        "20c56cf4a571fb99839dec15dd42ace1ff6adfb79fa6503c35b7df8e035afd6f",
+        "PASS fitted_c=3.9008586626908528 residual=0.0053133497639378247 tolerance=0.01 "
+        "max_abs_dev=0.18270144580865588 fock_tail=0.0057811502837847419",
     ),
 }
 
@@ -507,10 +551,12 @@ class TestRowFormatting:
         assert blocks == [(step, cols), (step, cols), (3, cols)]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_golden_csv(self, tmp_path, name):
-        argv, csv_sha, cells_sha = GOLDEN[name]
+    def test_golden_csv(self, tmp_path, capsys, name):
+        argv, csv_sha, cells_sha, verdict = GOLDEN[name]
         out = tmp_path / "golden.csv"
         assert run(argv + ["--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[-1] == f"wrote {out}"
         data = out.read_bytes()
         lines = [line for line in data.decode().splitlines() if not line.startswith("#")]
         cells = [line.split(",") for line in lines[1:]]  # after the column names
@@ -520,6 +566,7 @@ class TestRowFormatting:
         if hashlib.sha256(values.tobytes()).hexdigest() != cells_sha:
             pytest.skip("this build's numerics differ in the last bits from the golden run")
         assert hashlib.sha256(data).hexdigest() == csv_sha
+        assert stdout[:-1] == ([verdict] if verdict else [])
 
 
 class TestCriticalPointRepresentation:

@@ -171,12 +171,8 @@ class TestBruteForceDynamics:
             bath = oracle.discretize_bath(
                 oracle.DEFAULT_SPECTRAL, n_modes=2, omega_max=15.0, fock_dim=fock
             )
-            reps = [oracle.run_comparison(a, bath, 0.5, times) for a in (0.0, 0.6)]
-            c, _ = oracle.fit_decay_constant(
-                np.concatenate([r.exponents for r in reps]),
-                np.concatenate([r.brute_decoherence for r in reps]),
-            )
-            errs.append(abs(c - 4.0))
+            rep = oracle.run_comparison((0.0, 0.6), bath, 0.5, times)
+            errs.append(abs(rep.fitted_c - 4.0))
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-4
 
@@ -197,13 +193,10 @@ class TestBruteForceDynamics:
             oracle.DEFAULT_SPECTRAL, n_modes=3, omega_max=15.0, fock_dim=40
         )
         times = np.linspace(0.0, 5.0, 21)
-        reps = [oracle.run_comparison(a, bath, 0.5, times) for a in (0.0, 0.6)]
-        c, resid = oracle.fit_decay_constant(
-            np.concatenate([r.exponents for r in reps]),
-            np.concatenate([r.brute_decoherence for r in reps]),
-        )
-        assert abs(c - 4.0) <= 1e-12
-        assert resid <= 1e-12
+        rep = oracle.run_comparison((0.0, 0.6), bath, 0.5, times)
+        assert abs(rep.fitted_c - 4.0) <= 1e-12
+        assert rep.fit_residual <= 1e-12
+        assert rep.passes(1e-12)
 
     def test_diagnostics_tail(self):
         bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=10.0, fock_dim=4)
@@ -343,7 +336,7 @@ class TestFactorizedSectors:
         # ~1e-16 against the 1e-9 tolerance): their Frobenius bounds settle it
         bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=15.0, fock_dim=4)
         svds = count_svds(monkeypatch)
-        oracle.run_comparison(0.6, bath, 0.5, np.linspace(0.0, 5.0, 21))
+        oracle.run_comparison((0.6,), bath, 0.5, np.linspace(0.0, 5.0, 21))
         assert svds == []
 
     def test_thermal_warning_once_per_call(self):
@@ -396,16 +389,10 @@ class TestFitDecayConstant:
 
 
 class TestCompare:
-    def test_identical_inputs(self):
-        times = np.linspace(0.0, 2.0, 5)
-        d = np.exp(-0.3 * times)
-        rep = oracle.compare(d, d, times, 0.3 * times)
-        assert rep.max_abs_dev == 0.0
-
     def test_zero_coupling_bath(self, rng):
         bath = oracle.DiscreteBath(omegas=[1.0, 2.0], gs=[0.0, 0.0], fock_dim=3)
         times = np.linspace(0.0, 3.0, 7)
-        rep = oracle.run_comparison(0.6, bath, 1.0, times)
+        rep = oracle.run_comparison((0.6,), bath, 1.0, times)
         assert rep.max_abs_dev <= 1e-12
         np.testing.assert_allclose(rep.analytic_decoherence, 1.0)
         np.testing.assert_allclose(rep.brute_decoherence, 1.0, atol=1e-12)
@@ -417,61 +404,88 @@ class TestCompare:
             bath = oracle.discretize_bath(
                 WEAK_SPECTRAL, n_modes=3, omega_max=15.0, fock_dim=fock
             )
-            rep = oracle.run_comparison(0.0, bath, 0.5, times)
+            rep = oracle.run_comparison((0.0,), bath, 0.5, times)
             devs.append(rep.fit_residual)
         assert devs[1] < devs[0]
 
     def test_report_flags_non_unity_constant(self):
         bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=3, omega_max=15.0, fock_dim=5)
-        rep = oracle.run_comparison(0.6, bath, 0.5, np.linspace(0.0, 5.0, 11))
+        rep = oracle.run_comparison((0.6,), bath, 0.5, np.linspace(0.0, 5.0, 11))
         assert 3.0 < rep.fitted_c < 5.0  # near 4, not the literal exponent's 1
         assert np.isfinite(rep.fock_tail)
 
     def test_mismatched_beta_shows_up(self):
         bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=3, omega_max=15.0, fock_dim=5)
         times = np.linspace(0.0, 5.0, 11)
-        rep_ok = oracle.run_comparison(0.0, bath, 0.5, times)
+        rep_ok = oracle.run_comparison((0.0,), bath, 0.5, times)
         # analytic side deliberately evaluated at the wrong temperature
         e1 = -1.0
         gamma_wrong = np.array(
             [dephasing.gamma_discrete(bath.omegas, bath.gs, 5.0, t) for t in times]
         )
-        rep_bad = oracle.compare(
-            np.exp(-e1**2 * gamma_wrong),
-            rep_ok.brute_decoherence,
-            times,
-            e1**2 * gamma_wrong,
+        dev_bad = np.abs(np.exp(-e1**2 * gamma_wrong) - rep_ok.brute_decoherence[0])
+        assert dev_bad.max() > 10 * rep_ok.fit_residual
+
+    def test_rows_are_the_per_alpha_runs(self):
+        # each row is that alpha's own closed form and brute-force run on the
+        # shared bath, from the default state
+        bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=15.0, fock_dim=4)
+        times = np.linspace(0.0, 3.0, 7)
+        alphas = (0.0, 0.3, 0.6)
+        rep = oracle.run_comparison(iter(alphas), bath, 0.5, times)
+        rho0 = oracle.DEFAULT_INITIAL_STATE
+        np.testing.assert_array_equal(rep.alphas, alphas)
+        np.testing.assert_array_equal(rep.times, times)
+        tails = []
+        for i, alpha in enumerate(alphas):
+            e1, _ = dephasing.qubit_energies(alpha)
+            gamma = np.array(
+                [dephasing.gamma_discrete(bath.omegas, bath.gs, 0.5, t) for t in times]
+            )
+            analytic = np.exp(-(e1**2) * gamma)
+            states, tail = oracle.brute_force_dynamics(alpha, bath, 0.5, rho0, times)
+            brute = np.abs(oracle.coherence_sx(states)) / abs(oracle.coherence_sx(rho0))
+            dev_rho = [
+                np.max(np.abs(dephasing.evolve_exact_given_d(rho0, e1, t, d) - rho))
+                for t, d, rho in zip(times, analytic, states)
+            ]
+            np.testing.assert_allclose(rep.exponents[i], e1**2 * gamma, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(rep.analytic_decoherence[i], analytic, rtol=1e-14)
+            np.testing.assert_array_equal(rep.brute_decoherence[i], brute)
+            np.testing.assert_allclose(rep.dev_rho[i], dev_rho, rtol=1e-12, atol=1e-15)
+            tails.append(tail)
+        np.testing.assert_array_equal(
+            rep.dev_decoherence, np.abs(rep.analytic_decoherence - rep.brute_decoherence)
         )
-        assert rep_bad.max_abs_dev > 10 * rep_ok.fit_residual
+        assert rep.max_abs_dev == rep.dev_decoherence.max()
+        assert rep.fock_tail == max(tails)
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            oracle.compare([1.0], [1.0, 0.9], [0.0, 1.0], [0.0, 0.1])
+    def test_fit_pools_every_alpha(self):
+        bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=15.0, fock_dim=4)
+        times = np.linspace(0.0, 4.0, 9)
+        rep = oracle.run_comparison((0.0, 0.6), bath, 0.5, times)
+        assert rep.exponents.shape == rep.brute_decoherence.shape == (2, 9)
+        assert (rep.fitted_c, rep.fit_residual) == oracle.fit_decay_constant(
+            np.concatenate(list(rep.exponents)), np.concatenate(list(rep.brute_decoherence))
+        )
+        # a single alpha's own fit differs from the pooled one
+        single = oracle.run_comparison((0.6,), bath, 0.5, times)
+        assert single.fitted_c != rep.fitted_c
 
-    def test_state_trajectory_length_mismatch(self):
-        times = np.array([0.0, 1.0])
-        rhos = np.repeat(oracle.DEFAULT_INITIAL_STATE[None], 2, axis=0)
-        with pytest.raises(LengthMismatch):
-            oracle.compare(times, times, times, times, rho_analytic=rhos, rho_brute=rhos[:1])
-        with pytest.raises(LengthMismatch):
-            oracle.compare(times, times, times, times, rho_analytic=rhos)
+    def test_verdict_is_the_pooled_residual_within_tolerance(self):
+        bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=15.0, fock_dim=4)
+        rep = oracle.run_comparison((0.0, 0.6), bath, 0.5, np.linspace(0.0, 4.0, 9))
+        assert 0.0 < rep.fit_residual
+        assert rep.passes(rep.fit_residual)
+        assert not rep.passes(np.nextafter(rep.fit_residual, 0.0))
 
-    def test_dev_rho_is_per_time_max_entry_deviation(self, rng):
-        times = np.linspace(0.0, 1.0, 4)
-        a = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
-        b = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
-        rep = oracle.compare(times, times, times, times, rho_analytic=a, rho_brute=b)
-        expected = [np.max(np.abs(x - y)) for x, y in zip(a, b)]
-        np.testing.assert_array_equal(rep.dev_rho, expected)
-
-    def test_one_gamma_sum_per_alpha(self, monkeypatch):
+    def test_one_gamma_sum_per_run(self, monkeypatch):
         calls = count_calls(monkeypatch, dephasing, "gamma_discrete")
         bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=15.0, fock_dim=4)
         times = np.linspace(0.0, 3.0, 13)
-        for alpha in (0.0, 0.6):
-            with pytest.warns(TruncationWarning):
-                oracle.run_comparison(alpha, bath, 0.5, times)
-        assert calls == [(2,), (2,)]
+        with pytest.warns(TruncationWarning):
+            oracle.run_comparison((0.0, 0.3, 0.6), bath, 0.5, times)
+        assert calls == [(2,)]
 
     def test_stacked_states_match_per_state_coherence(self):
         bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=2, omega_max=15.0, fock_dim=4)
@@ -509,6 +523,6 @@ class TestTruncationFloor:
             bath = oracle.discretize_bath(
                 WEAK_SPECTRAL, n_modes=2, omega_max=10.0, fock_dim=fock
             )
-            rep = oracle.run_comparison(0.6, bath, 0.5, times)
+            rep = oracle.run_comparison((0.6,), bath, 0.5, times)
             resids.append(rep.fit_residual)
         assert resids[0] > resids[1] > resids[2]
