@@ -396,18 +396,20 @@ def build_config(args: argparse.Namespace, base: ScenarioConfig) -> ScenarioConf
 
 def _write_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file beside it; an OS
-    error is a config error, and leaves no temporary file."""
+    error is a config error, and leaves no temporary file. A symlinked
+    ``path`` is written through: its target is replaced, the link kept."""
+    target = os.path.realpath(path)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
+            dir=os.path.dirname(target), prefix=os.path.basename(target) + ".", suffix=".tmp"
         )
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; keep open()'s mode
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.remove(tmp)

@@ -69,6 +69,8 @@ class LengthMismatch(PtDecoError):
     """Two sequences expected to align index-by-index have different lengths."""
 
 
-class TruncationWarning(RuntimeWarning):
+class TruncationWarning(UserWarning):
     """Fock-space truncation discards more thermal population than the
-    configured threshold."""
+    configured threshold. A ``UserWarning``: it reports a modelling choice,
+    not a floating-point fault, so ``-W error::RuntimeWarning`` leaves it a
+    warning."""

@@ -1,6 +1,7 @@
 import decimal
 import hashlib
 import math
+import os
 import re
 import struct
 import sys
@@ -129,6 +130,19 @@ class TestFigure1Command:
         assert err == [err[0]] and err[0].startswith(f"config error: cannot write {path}: ")
         assert list(tmp_path.iterdir()) == [out]
         assert list(out.iterdir()) == []
+
+    def test_symlinked_out_writes_its_target(self, tmp_path):
+        target = tmp_path / "data" / "fig1.csv"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(os.path.join("data", "fig1.csv"))
+        assert run(["figure1", "--out", str(link), "--n-points", "3"]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        _, names, rows = read_rows(target)
+        assert names[0] == "t" and len(rows) == 3
+        assert sorted(p.name for p in target.parent.iterdir()) == ["fig1.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "link.csv"]
 
 
 class TestEvolveCommand:
@@ -390,6 +404,23 @@ class TestEntryPoint:
         )
         assert res.returncode == 0
         assert "classification=Real" in res.stdout
+
+    def test_truncation_warning_is_no_runtime_warning(self, tmp_path):
+        # the default instance warns on its Fock tail; under -W
+        # error::RuntimeWarning it still reports its verdict
+        import subprocess
+
+        res = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning", "-m", "ptdeco",
+                "oracle-compare", "--out", str(tmp_path / "cmp.csv"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert res.returncode in (0, 1), res.stderr
+        assert re.match(r"(PASS|FAIL) ", res.stdout), res.stdout
+        assert "Traceback" not in res.stderr and "TruncationWarning" in res.stderr
 
     def test_import_loads_no_scipy(self):
         import subprocess

@@ -909,10 +909,10 @@ class TestExactlyHermitianShortcut:
     @pytest.mark.parametrize("multiple", [0.5, 1.0 - 1e-4, 1.0 + 1e-4, 100.0])
     @pytest.mark.parametrize("defect", [0.0, 1e-15])
     @pytest.mark.parametrize("form", ["matrix", "stack"])
+    @pytest.mark.parametrize("n", [2, 3, 4])  # 2: a single one takes the qubit pre-check
     def test_verdicts_match_the_symmetrized_reference(
-        self, rng, tol, multiple, defect, form
+        self, rng, tol, multiple, defect, form, n
     ):
-        n = int(rng.integers(2, 5))
         rho = self.exactly_hermitian(rng, n, -multiple * max(tol, 1e-10))
         skew = random_hermitian(rng, n) * 1j
         if form == "matrix":
@@ -940,6 +940,105 @@ class TestExactlyHermitianShortcut:
             herm = (rho + rho.conj().T) / 2.0
             assert herm.tobytes() == rho.tobytes()
             np.testing.assert_array_equal(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(herm))
+
+
+class TestQubitPreCheck:
+    """A single 2 x 2 state is settled in scalar arithmetic only when it
+    clearly passes; any other takes the array pass. Every state below gives
+    the verdict and message of the reference ``density_verdict``, a passing
+    one comes back as the input array, and ``eigvalsh`` runs exactly when
+    the pre-check defers."""
+
+    @staticmethod
+    def qubit(rng, lowest):
+        return TestExactlyHermitianShortcut.exactly_hermitian(rng, 2, lowest)
+
+    @staticmethod
+    def check(monkeypatch, state, tol, settled):
+        expected = density_verdict(state, tol, "s")
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        if expected is None:
+            assert pt_core.require_density_matrix(state, tol, "s") is state
+        else:
+            with pytest.raises(NotDensityMatrix) as info:
+                pt_core.require_density_matrix(state, tol, "s")
+            assert str(info.value) == expected
+        assert len(calls) == (0 if settled else 1)
+        return expected
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("lowest", [0.3, 0.0, -(1.0 - 1e-4)])  # the last times the threshold
+    def test_clear_pass_is_settled(self, rng, monkeypatch, tol, lowest):
+        if lowest < 0.0:
+            lowest *= max(tol, 1e-10)
+        assert self.check(monkeypatch, self.qubit(rng, lowest), tol, settled=True) is None
+
+    def test_real_input_is_returned_complex(self, monkeypatch):
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        out = pt_core.require_density_matrix([[0.25, 0.0], [0.0, 0.75]])
+        assert out.dtype == complex and calls == []
+        np.testing.assert_array_equal(out, np.diag([0.25, 0.75]))
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("multiple", [1.0 - 1e-9, 1.0 + 1e-9])
+    def test_nonzero_defect_is_deferred(self, rng, monkeypatch, tol, multiple):
+        state = edge_state(rng, 2, "hermiticity", multiple, tol, 1.0)
+        expected = self.check(monkeypatch, state, tol, settled=False)
+        assert (expected is None) == (multiple < 1.0)
+
+    @pytest.mark.parametrize(
+        "tol, multiple",
+        [(tol, sign * (1.0 + d)) for tol in (1e-10, 1e-8) for sign in (1, -1)
+         for d in (-1e-4, 1e-4)]
+        # at 1e-13 the 1e-12 floor is the threshold, and 1e-4 of it is
+        # within the trace's rounding
+        + [(1e-13, sign * (1.0 + d)) for sign in (1, -1) for d in (-1e-2, 1e-2)],
+    )
+    def test_trace_edge(self, rng, monkeypatch, tol, multiple):
+        state = self.qubit(rng, 0.3)
+        state[0, 0] += multiple * max(tol, 1e-12)
+        inside = abs(multiple) < 1.0
+        expected = self.check(monkeypatch, state, tol, settled=inside)
+        assert (expected is None) == inside
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("offset", [0.25, -0.25])
+    def test_lowest_inside_the_rounding_bound_is_deferred(self, rng, monkeypatch, tol, offset):
+        # within QUBIT_EIG_MARGIN * M (M >= 1/2 here) of the threshold, on
+        # either side: eigvalsh decides
+        lowest = -max(tol, 1e-10) + offset * pt_core.QUBIT_EIG_MARGIN
+        self.check(monkeypatch, self.qubit(rng, lowest), tol, settled=False)
+
+    def test_settled_states_pass_the_reference(self, rng):
+        # lowest eigenvalues spread over a few QUBIT_EIG_MARGIN around the
+        # threshold: every state the pre-check settles passes the reference
+        settled = 0
+        for _ in range(2000):
+            lowest = -1e-10 + rng.normal() * 4.0 * pt_core.QUBIT_EIG_MARGIN
+            state = self.qubit(rng, lowest)
+            if pt_core._qubit_clearly_passes(state, 1e-10):
+                settled += 1
+                assert density_verdict(state, 1e-10, "s") is None
+        assert 0 < settled < 2000
+
+    @pytest.mark.parametrize(
+        "entries, value",
+        [
+            ([(0, 0)], np.nan),
+            ([(1, 1)], np.inf),  # still exactly hermitian
+            ([(0, 0)], complex(0.5, np.nan)),
+            ([(0, 1)], complex(np.nan, 0.0)),
+            ([(0, 1), (1, 0)], np.inf),  # exactly hermitian, unit trace
+        ],
+    )
+    def test_non_finite_entries(self, rng, monkeypatch, entries, value):
+        state = self.qubit(rng, 0.3)
+        for entry in entries:
+            state[entry] = value
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        with pytest.raises(ValueError) as info:
+            pt_core.require_density_matrix(state, name="s")
+        assert str(info.value) == "s contains non-finite entries" and calls == []
 
 
 def density_verdict(rho, tol, label):
