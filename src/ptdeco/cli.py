@@ -16,6 +16,7 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, replace
@@ -397,7 +398,12 @@ def build_config(args: argparse.Namespace, base: ScenarioConfig) -> ScenarioConf
 def _write_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file beside it; an OS
     error is a config error, and leaves no temporary file. A symlinked
-    ``path`` is written through: its target is replaced, the link kept."""
+    ``path`` is written through: its target is replaced, the link kept.
+
+    The new file takes the permission bits of the file it replaces, or
+    ``open()``'s default (0666 less the umask) where there is none. Being
+    a new file, it has a new inode: a hard link to the old one keeps the
+    old contents."""
     target = os.path.realpath(path)
     tmp = None
     try:
@@ -406,9 +412,13 @@ def _write_atomic(path: str, text: str) -> None:
         )
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; keep open()'s mode
+        try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)  # mkstemp creates 0600
         os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -575,7 +585,12 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ptdeco`` parser, built on the first call and shared after it:
+    ``parse_args`` leaves a parser as it was, also when it exits on an error,
+    so repeated :func:`main` calls in one process set up argparse once.
+    Every caller gets this one object, so none may add to it."""
     parser = argparse.ArgumentParser(
         prog="ptdeco",
         description="Dephasing dynamics of PT-symmetric qubits (hbar = 1).",

@@ -74,8 +74,8 @@ class DephasingModel:
     spectral: SpectralDensity
 
     def __post_init__(self):
-        if not (self.beta > 0.0):
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if not (0.0 < self.beta < math.inf):
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
 
     @property
     def e1(self) -> float:
@@ -376,8 +376,8 @@ def sweep_alpha(
     if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be ascending and nonnegative")
 
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be > 0, got {beta}")
+    if not (0.0 < beta < math.inf):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     if np.any(np.abs(alphas) < 1.0):
         gamma, _ = _gamma_values(spectral, beta, times, tol)
     else:

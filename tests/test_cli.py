@@ -1,9 +1,12 @@
+import argparse
 import decimal
 import hashlib
 import math
 import os
 import re
+import stat
 import struct
+import subprocess
 import sys
 
 import numpy as np
@@ -130,6 +133,25 @@ class TestFigure1Command:
         assert err == [err[0]] and err[0].startswith(f"config error: cannot write {path}: ")
         assert list(tmp_path.iterdir()) == [out]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+    def test_existing_out_keeps_its_mode(self, tmp_path, mode):
+        out = tmp_path / "fig1.csv"
+        out.write_text("old\n")
+        out.chmod(mode)
+        assert run(["figure1", "--out", str(out), "--n-points", "3"]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert out.read_text().startswith("# ptdeco figure1\n")
+
+    @pytest.mark.parametrize("umask", [0o027, 0o077], ids=oct)
+    def test_new_out_takes_the_umask_default(self, tmp_path, umask):
+        out = tmp_path / "fig1.csv"
+        old = os.umask(umask)
+        try:
+            assert run(["figure1", "--out", str(out), "--n-points", "3"]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
     def test_symlinked_out_writes_its_target(self, tmp_path):
         target = tmp_path / "data" / "fig1.csv"
@@ -395,8 +417,6 @@ class TestSubcommandFlags:
 
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):
-        import subprocess
-
         res = subprocess.run(
             [sys.executable, "-m", "ptdeco", "spectrum", "--alpha", "0.5"],
             capture_output=True,
@@ -408,8 +428,6 @@ class TestEntryPoint:
     def test_truncation_warning_is_no_runtime_warning(self, tmp_path):
         # the default instance warns on its Fock tail; under -W
         # error::RuntimeWarning it still reports its verdict
-        import subprocess
-
         res = subprocess.run(
             [
                 sys.executable, "-W", "error::RuntimeWarning", "-m", "ptdeco",
@@ -423,8 +441,6 @@ class TestEntryPoint:
         assert "Traceback" not in res.stderr and "TruncationWarning" in res.stderr
 
     def test_import_loads_no_scipy(self):
-        import subprocess
-
         code = (
             "import ptdeco, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -432,6 +448,70 @@ class TestEntryPoint:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it."""
+
+    def test_parser_is_shared(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_main_builds_the_parser_tree_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for alpha in ("0.5", "1.0", "1.5"):
+            assert run(["spectrum", "--alpha", alpha]) == 0
+        # the top-level parser and one per subcommand, all from the first call
+        assert len(built) == 1 + len(cli._SUBCOMMANDS)
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["figure1", "--no-such-flag"],
+            ["figure1", "--beta", "nan"],
+            ["evolve", "--representation", "other"],
+            ["no-such-command"],
+            [],
+        ],
+    )
+    def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys, bad):
+        argv = ["figure1", "--n-points", "3", "--beta", "2"]
+        parser = cli.build_parser()
+        with pytest.raises(SystemExit) as exc:
+            run(bad)
+        assert exc.value.code == 2
+        assert cli.build_parser() is parser
+        assert run(argv + ["--out", str(tmp_path / "after.csv")]) == 0
+        cli.build_parser.cache_clear()
+        assert run(argv + ["--out", str(tmp_path / "fresh.csv")]) == 0
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        commands = [
+            ["figure1", "--n-points", "50"],
+            ["oracle-compare"],
+            ["evolve", "--representation", "pt", "--n-points", "50"],
+        ]
+        for i, argv in enumerate(commands):
+            alone, shared = tmp_path / f"alone{i}.csv", tmp_path / f"shared{i}.csv"
+            res = subprocess.run(
+                [sys.executable, "-m", "ptdeco", *argv, "--out", str(alone)],
+                capture_output=True,
+                text=True,
+            )
+            capsys.readouterr()
+            assert run(argv + ["--out", str(shared)]) == res.returncode == 0, res.stderr
+            out = capsys.readouterr().out
+            assert out == res.stdout.replace(str(alone), str(shared))
+            assert shared.read_bytes() == alone.read_bytes()
 
 
 def per_cell(table):

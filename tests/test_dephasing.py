@@ -78,6 +78,15 @@ class TestSpectralDensity:
         with pytest.raises(ValueError, match="beta"):
             DephasingModel(0.5, math.nan, FIG1_SPECTRAL)
 
+    @pytest.mark.parametrize("beta", [math.inf, 0.0, -math.inf])
+    def test_beta_out_of_range_rejected(self, beta):
+        # beta = inf would reach gamma as inf * 0 and inf / inf; it stops
+        # here, with no floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta must be finite and > 0"):
+                DephasingModel(0.5, beta, FIG1_SPECTRAL)
+
 
 class TestQubit:
     def test_alpha_zero_is_sigma_x(self):
@@ -447,6 +456,15 @@ class TestSweepAlpha:
     def test_rejects_descending_times(self):
         with pytest.raises(ValueError):
             dephasing.sweep_alpha([0.0], [2.0, 1.0], FIG1_SPECTRAL, FIG1_BETA)
+
+    @pytest.mark.parametrize("beta", [math.inf, 0.0, -1.0, math.nan])
+    def test_rejects_beta_out_of_range(self, beta):
+        # beta = inf (T = 0) has no closed form here: a ValueError before
+        # any gamma arithmetic, with no floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta"):
+                dephasing.sweep_alpha([0.0, 0.5], [0.0, 1.0], FIG1_SPECTRAL, beta)
 
     def test_gamma_matches_scalar_path(self):
         ts = np.linspace(0.0, 3.0, 4)
