@@ -14,16 +14,24 @@ point together with the dynamics.
 gamma(t) is evaluated in closed form: expanding ``coth`` into exponentials
 gives the Hurwitz-zeta form ``J0 Gamma(mu) beta^-mu Re[2(zeta(mu, a) -
 zeta(mu, b)) - (a^-mu - b^-mu)]`` with ``a = 1/(beta w_c)``, ``b = a - i t/beta``,
-summed by Euler-Maclaurin (DLMF 25.11) in real arithmetic over a whole
-time array at once, with an a-priori error bound (see ``_gamma_values``).
+summed by Euler-Maclaurin (DLMF 25.11) in real arithmetic, with an
+a-priori error bound (see ``_gamma_values``).
 
 A time grid takes one array pass: :func:`sweep_alpha` for D(t),
 :func:`gamma_discrete` for the discrete-bath sum and
-:func:`evolve_exact_given_d` for the states.
+:func:`evolve_exact_given_d` for the states. One time takes a point pass:
+:func:`gamma_integral` calls ``_gamma_point``, which reads the same layout
+constants (``_NODE``, ``_EXPO0``, ``_POWER``, ``_GAMMA_ARG``,
+``_BERNOULLI``) and the same bound rule, makes one numpy call per
+transcendental kernel (the powers keep the array pass's numpy forms) and
+does the rest in Python floats. Its value and bound equal the array pass's
+entry bit for bit (``TestOnePath`` in ``tests/test_dephasing.py``), and so
+does a scalar-``t`` :func:`evolve_exact_given_d`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -155,6 +163,10 @@ _EXPO0 = np.concatenate([np.zeros(_N_DIRECT + 2), [1.0], 1.0 - 2 * _J])
 _POWER = (2 * _J - 1).astype(float)
 _GAMMA_ARG = (2 * _J).astype(float)
 _EPS = float(np.finfo(float).eps)
+#: The same layout as Python floats, for the one-point pass: the distinct
+#: nodes k = 0 .. 12, and each column's node index and exponent offset.
+_POINT_NODES = _NODE[: _N_DIRECT + 1].tolist()
+_POINT_COLUMNS = list(zip(_NODE.astype(int).tolist(), _EXPO0.tolist()))
 
 
 def _div(num, den):
@@ -184,9 +196,10 @@ def _gamma_values(
     piece (layout in ``_NODE``), ``coef`` its weight. The summand is completely
     monotone in k, so the remainder is at most twice the first neglected
     correction. Raises :class:`QuadratureFailure` where
-    ``bound > tol * max(1, gamma)``.
+    ``bound > tol * max(1, gamma)``, or where a Gamma weight overflows.
     """
     mu, j0 = spec.mu, spec.j0
+    g1, gammas = _gamma_weights(mu)
     t = np.asarray(times, dtype=float)[:, None]
     at = 1.0 / spec.omega_c + beta * _NODE
     x = at[-1]
@@ -194,14 +207,12 @@ def _gamma_values(
     lam, phi = 0.5 * np.log1p(delta * delta), -np.arctan(delta)
     q = _q(_EXPO0 - mu, lam, phi)
 
-    g1 = math.gamma(mu + 1.0)
     x_mu = x**-mu
     integral = 2.0 * g1 * x_mu * x / beta
     coef = np.empty(at.shape)
     coef[:_N_DIRECT] = 2.0 * g1 * at[:_N_DIRECT] ** -mu
     coef[0] *= 0.5  # the k = 0 term of the coth expansion has weight 1
     coef[_N_DIRECT:_N_DIRECT + 3] = g1 * x_mu, -integral, integral
-    gammas = [math.gamma(a) for a in (mu + _GAMMA_ARG).tolist()]
     coef[_N_DIRECT + 3:] = 2.0 * _BERNOULLI * gammas * (beta / x) ** _POWER * x_mu
     dx, lx, px = delta[:, -1], lam[:, -1], phi[:, -1]
     mpx = mu * px
@@ -219,11 +230,102 @@ def _gamma_values(
     ok = bound <= tol * np.maximum(1.0, value)
     if not ok.all():
         i = int(np.argmin(ok))
-        raise QuadratureFailure(
-            f"gamma({t[i, 0]}) error bound {bound[i]:.3e} exceeds tol relative to "
-            f"value {value[i]:.6g}"
-        )
+        raise _bound_failure(t[i, 0], bound[i], value[i])
     return np.maximum(value, 0.0), bound
+
+
+def _gamma_weights(mu: float) -> tuple[float, list[float]]:
+    """Gamma(mu + 1) and the Bernoulli weights' Gamma(mu + 2j), j = 1 .. 9.
+
+    Raises :class:`QuadratureFailure` where one overflows (from mu > 153.6,
+    inside the domain mu > -1).
+    """
+    try:
+        return math.gamma(mu + 1.0), [math.gamma(mu + a) for a in _GAMMA_ARG.tolist()]
+    except OverflowError:
+        raise QuadratureFailure(
+            f"Gamma(mu + {_GAMMA_ARG[-1]:g}) overflows at mu = {mu}: the "
+            "Euler-Maclaurin weights of gamma(t) are not finite"
+        ) from None
+
+
+def _bound_failure(t, bound, value) -> QuadratureFailure:
+    return QuadratureFailure(
+        f"gamma({t}) error bound {bound:.3e} exceeds tol relative to value {value:.6g}"
+    )
+
+
+def _gamma_point(
+    spec: SpectralDensity, beta: float, t: float, tol: float
+) -> tuple[float, float]:
+    """gamma(t) and its error bound at one time t > 0, bit for bit those of
+    ``_gamma_values(spec, beta, [t], tol)``.
+
+    The same pieces from the same layout constants, in the same order of
+    operations and under the same bound rule. Each transcendental kernel is
+    one numpy call over all the pieces, so it gives the grid pass's bits;
+    the ``+ - * /`` between them run on Python floats, which round as
+    numpy's do, and the two row sums stay numpy (pairwise) sums.
+    """
+    mu, j0 = spec.mu, spec.j0
+    g1, gammas = _gamma_weights(mu)
+    inv_wc = 1.0 / spec.omega_c
+    at = [inv_wc + beta * k for k in _POINT_NODES]
+    x = at[-1]
+    delta = [t / a if a else math.inf for a in at]  # a = 0 only at omega_c = inf
+    lam = [0.5 * v for v in np.log1p([d * d for d in delta]).tolist()]
+    phi = [-v for v in np.arctan(delta).tolist()]
+
+    # _q over the columns
+    lam_c, phi_c, e_lam, h = [], [], [], []
+    for k, e0 in _POINT_COLUMNS:
+        e, lk, pk = e0 - mu, lam[k], phi[k]
+        lam_c.append(lk)
+        phi_c.append(pk)
+        e_lam.append(e * lk)
+        h.append(0.5 * e * pk)
+    mpx = mu * phi[-1]
+    *sin_h, sin_mpx = np.sin(h + [mpx]).tolist()
+    q = [
+        lk * (m / el if el else 1.0) * c - pk * s * (s / hh if hh else 1.0)
+        for lk, pk, el, m, c, hh, s in zip(
+            lam_c,
+            phi_c,
+            e_lam,
+            np.expm1(e_lam).tolist(),
+            np.cos([2.0 * v for v in h]).tolist(),
+            h,
+            sin_h,
+        )
+    ]
+
+    # the powers take the grid pass's numpy forms: X^-mu a scalar (libm)
+    # power, s^-mu ``ndarray ** -mu`` (numpy's fast paths, e.g. sqrt at
+    # mu = -0.5), the Bernoulli powers one array power
+    x_mu = float(np.float64(x) ** -mu)
+    integral = 2.0 * g1 * x_mu * x / beta
+    coef = [2.0 * g1 * p for p in (np.array(at[:_N_DIRECT]) ** -mu).tolist()]
+    coef[0] *= 0.5  # the k = 0 term of the coth expansion has weight 1
+    coef += [g1 * x_mu, -integral, integral]
+    coef += [
+        2.0 * b * g * p * x_mu
+        for b, g, p in zip(_BERNOULLI.tolist(), gammas, ((beta / x) ** _POWER).tolist())
+    ]
+    tilt = (
+        -integral * delta[-1] * float(np.exp(-mu * lam[-1])) * phi[-1]
+        * (sin_mpx / mpx if mpx else 1.0)
+    )
+
+    terms = [j0 * qc * c for qc, c in zip(q, coef)]
+    summed = terms[:-1]
+    row_sum, abs_row_sum = np.array([summed, [abs(v) for v in summed]]).sum(axis=1).tolist()
+    value = row_sum + j0 * tilt
+    abs_sum = abs_row_sum + j0 * abs(tilt)
+    rounding = 8.0 * (4.0 + abs(mu) + 1.0 / (1.0 + mu)) * _EPS * abs_sum
+    bound = 2.0 * abs(terms[-1]) + rounding
+    if not bound <= tol * (1.0 if value < 1.0 else value):
+        raise _bound_failure(t, bound, value)
+    return (value if value > 0.0 else 0.0), bound
 
 
 def _require_time(t: float) -> None:
@@ -242,8 +344,8 @@ def gamma_integral(
     _require_time(t)
     if t == 0.0:
         return GammaResult(0.0, 0.0, 0)
-    value, bound = _gamma_values(model.spectral, model.beta, [t], tol)
-    return GammaResult(float(value[0]), float(bound[0]), _N_TERMS)
+    value, bound = _gamma_point(model.spectral, model.beta, float(t), tol)
+    return GammaResult(value, bound, _N_TERMS)
 
 
 def gamma_discrete(omegas, gs, beta, t):
@@ -298,7 +400,9 @@ def evolve_exact_given_d(varrho0, e1: float, t, d) -> np.ndarray:
         r12(t) = r11(0) - 1/2 + i Im[r12(0) e^(-i E1 t)] D(t)
 
     with r22 = 1 - r11 and r21 = conj(r12). ``t`` and ``d`` are scalars or
-    aligned arrays; the states have shape ``(..., 2, 2)``. The formulas at
+    aligned arrays; the states have shape ``(..., 2, 2)``. A scalar ``t``
+    and ``d`` take a scalar path in Python complex arithmetic, equal bit for
+    bit to the array branch's entry. The formulas at
     t = 0 with D(0) = 1 must reproduce the input state (this restricts
     admissible initial states to r11(0) = 1/2, Re r12(0) = 0); otherwise
     :class:`InconsistentInitialState` is raised rather than guessing a
@@ -319,6 +423,19 @@ def evolve_exact_given_d(varrho0, e1: float, t, d) -> np.ndarray:
             f"got r11(0) = {r11_0:.6g}, r12(0) = {r12_0:.6g}"
         )
 
+    scalar = isinstance(t, (int, float)) and isinstance(d, (int, float))
+    if scalar and math.isfinite(e1 * t):  # else cmath.exp raises, numpy gives NaN
+        # One time point in Python complex arithmetic, with complex operands
+        # throughout as numpy promotes its float ones (Python >= 3.14
+        # multiplies a complex by a float componentwise, which can flip the
+        # sign of a zero). The product with r12(0) stays a numpy array
+        # operation: its complex multiply may fuse (FMA), Python's does not.
+        phase = cmath.exp(-1j * e1 * complex(t))
+        rot = complex((r12_0 * np.array([phase]))[0])
+        d = float(d)
+        r11 = 0.5 - rot.real * d
+        r12 = complex(r11_0 - 0.5) + 1j * complex(rot.imag) * complex(d)
+        return np.array([[r11, r12], [r12.conjugate(), 1.0 - r11]])
     rot = r12_0 * np.exp(-1j * e1 * np.asarray(t, dtype=float))
     d = np.asarray(d, dtype=float)
     r11 = 0.5 - rot.real * d

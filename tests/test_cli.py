@@ -105,6 +105,16 @@ class TestFigure1Command:
     def test_broken_alpha_rejected(self, capsys):
         assert run(["figure1", "--alpha", "0.5,1.2"]) == 2
 
+    @pytest.mark.parametrize("command", ["figure1", "evolve"])
+    def test_gamma_function_overflow_is_one_line(self, command, tmp_path, capsys):
+        # mu = 160 is inside the domain mu > -1, but Gamma(mu + 18) overflows
+        out = tmp_path / "never.csv"
+        assert run([command, "--mu", "160", "--n-points", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: QuadratureFailure: Gamma(mu + 18) overflows")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_existing_tmp_file_survives(self, tmp_path):
         out = tmp_path / "fig1.csv"
         user_file = tmp_path / "fig1.csv.tmp"

@@ -48,6 +48,11 @@ MPMATH_POINTS = [
 GRID_MUS = [-0.9, -0.5, 0.0, 0.5, 1.0, 2.5, 6.0, 8.0]
 GRID_BETAS = [1e-3, 0.05, 0.5, 5.0, 1e3]
 GRID_TIMES = [0.0] + list(np.logspace(-6.0, 6.0, 13))
+# the domain's edges: e*lambda and h underflow to the _div continuations at
+# the extreme times, and Gamma(mu + 18) overflows past mu = 153.6
+EDGE_TIMES = [5e-324, 1e-300, 1e300]
+EDGE_BETAS = [1e-300, 1e200, 1e300]
+EDGE_MUS = [-0.99999, 153.0, 160.0]
 
 
 def fig1_model(alpha: float) -> DephasingModel:
@@ -201,6 +206,15 @@ class TestGammaIntegral:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             dephasing.gamma_integral(fig1_model(0.0), -1.0)
+
+    def test_gamma_function_overflow_is_quadrature_failure(self):
+        # Gamma(mu + 18) overflows past mu = 153.6, inside the domain mu > -1
+        model = DephasingModel(0.6, 0.5, SpectralDensity(1.0, 160.0, 1.0))
+        with pytest.raises(QuadratureFailure, match=r"Gamma\(mu \+ 18\) overflows") as point:
+            dephasing.gamma_integral(model, 2.0)
+        with pytest.raises(QuadratureFailure) as grid:
+            dephasing.sweep_alpha([0.0, 0.6], [0.0, 2.0], model.spectral, model.beta)
+        assert str(grid.value) == str(point.value)
 
     @pytest.mark.parametrize("mu, beta, t", MPMATH_POINTS)
     def test_against_mpmath(self, mu, beta, t):
@@ -396,6 +410,19 @@ class TestEvolveExactGivenD:
                 rho, dephasing.evolve_exact_given_d(self.RHO0, e1, t, d)
             )
 
+    @pytest.mark.parametrize("re12", [9e-10, -9e-10, 1e-10])
+    def test_scalar_state_is_the_array_branch_for_complex_r12(self, re12):
+        # a nonzero Re r12(0), just inside the admissibility window, takes the
+        # general complex product r12(0) e^(-i E1 t)
+        rho0 = np.array([[0.5, re12 + 0.35j], [re12 - 0.35j, 0.5]])
+        times = np.concatenate([[0.0], np.logspace(-6.0, 6.0, 25)])
+        ds = np.linspace(1.0, 0.0, times.size)
+        for e1 in (-1.0, -0.8, -0.31, -1e-3, 0.0):
+            states = dephasing.evolve_exact_given_d(rho0, e1, times, ds)
+            for t, d, rho in zip(times.tolist(), ds.tolist(), states):
+                scalar = dephasing.evolve_exact_given_d(rho0, e1, t, d)
+                assert scalar.tobytes() == rho.tobytes(), (e1, t, d)
+
     def test_scalar_call_is_one_matrix(self):
         rho = dephasing.evolve_exact_given_d(self.RHO0, -0.8, 1.3, 0.7)
         assert rho.shape == (2, 2)
@@ -502,6 +529,46 @@ class TestOnePath:
                     dephasing.evolve_exact(model, rho0, t),
                     dephasing.evolve_exact_given_d(rho0, e1, t, d),
                 )
+
+    @pytest.mark.parametrize("mu", GRID_MUS + EDGE_MUS)
+    def test_gamma_integral_is_the_array_pass_at_the_edges(self, mu):
+        # an equal value and bound, or the same exception and text; the grid
+        # pass overflows in numpy at these points, so its warnings are off
+        def outcome(gamma, *args):
+            try:
+                value, bound = gamma(*args)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return float(np.squeeze(value)), float(np.squeeze(bound))
+
+        def point(model, t):
+            res = dephasing.gamma_integral(model, t)
+            return res.value, res.abs_error_estimate
+
+        tol = dephasing.DEFAULT_GAMMA_TOL
+        with np.errstate(all="ignore"):
+            for beta in GRID_BETAS + EDGE_BETAS:
+                model = DephasingModel(0.6, beta, SpectralDensity(1.0, mu, 1.0))
+                for t in GRID_TIMES[1:] + EDGE_TIMES:
+                    assert outcome(point, model, t) == outcome(
+                        dephasing._gamma_values, model.spectral, beta, [t], tol
+                    ), (beta, t)
+
+    @pytest.mark.parametrize("mu", [1.0, -0.5, -0.83, 0.37, 3.3])
+    def test_gamma_integral_is_the_array_pass_on_random_points(self, mu):
+        # seeded (beta, t) draws reach last-bit differences that the domain
+        # grid misses (a libm log1p in place of numpy's, say). numpy takes
+        # ``array ** -mu`` as a reciprocal at mu = 1 and a square root at
+        # mu = -0.5, not by its pow kernel; the point pass must take that form
+        rng = np.random.default_rng(20261020)
+        tol = dephasing.DEFAULT_GAMMA_TOL
+        for beta in (10.0 ** rng.uniform(-3.0, 3.0, 50)).tolist():
+            model = DephasingModel(0.6, beta, SpectralDensity(1.0, mu, 1.0))
+            times = 10.0 ** rng.uniform(-6.0, 6.0, 20)
+            values, bounds = dephasing._gamma_values(model.spectral, beta, times, tol)
+            for t, value, bound in zip(times.tolist(), values, bounds):
+                res = dephasing.gamma_integral(model, t)
+                assert (res.value, res.abs_error_estimate) == (value, bound), (beta, t)
 
     def test_one_check_of_t_and_alpha_per_call(self, monkeypatch):
         times = count_calls(monkeypatch, dephasing, "_require_time")
