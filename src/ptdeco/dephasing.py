@@ -17,21 +17,19 @@ zeta(mu, b)) - (a^-mu - b^-mu)]`` with ``a = 1/(beta w_c)``, ``b = a - i t/beta`
 summed by Euler-Maclaurin (DLMF 25.11) in real arithmetic, with an
 a-priori error bound (see ``_gamma_values``).
 
-A time grid takes one array pass: :func:`sweep_alpha` for D(t),
-:func:`gamma_discrete` for the discrete-bath sum and
-:func:`evolve_exact_given_d` for the states. One time takes a point pass:
-:func:`gamma_integral` calls ``_gamma_point``, which reads the same layout
-constants (``_NODE``, ``_EXPO0``, ``_POWER``, ``_GAMMA_ARG``,
-``_BERNOULLI``) and the same bound rule, makes one numpy call per
-transcendental kernel (the powers keep the array pass's numpy forms) and
-does the rest in Python floats. Its value and bound equal the array pass's
-entry bit for bit (``TestOnePath`` in ``tests/test_dephasing.py``), and so
-does a scalar-``t`` :func:`evolve_exact_given_d`.
+gamma(t) has two passes. A time grid (:func:`sweep_alpha`) takes the array
+pass ``_gamma_values``; one time (:func:`gamma_integral`) takes the point
+pass ``_gamma_point``, one numpy call per transcendental kernel with the
+rest in Python floats. Both read what does not depend on t (the Gamma
+weights, nodes, column weights and rounding factor) from one builder,
+``_gamma_weights``, and their values and bounds agree bit for bit
+(``TestOnePath`` in ``tests/test_dephasing.py``). :func:`gamma_discrete`
+and :func:`evolve_exact_given_d` take a scalar or a whole time array in
+one numpy pass.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,6 +37,7 @@ import numpy as np
 
 from .errors import (
     BrokenPhase,
+    DimensionMismatch,
     ExceptionalPoint,
     InconsistentInitialState,
     InvalidExponent,
@@ -65,8 +64,8 @@ class SpectralDensity:
             raise ValueError(f"j0 must be >= 0, got {self.j0}")
         if not (self.mu > -1.0):
             raise InvalidExponent(f"mu = {self.mu} is not > -1: gamma(t) diverges")
-        if not (self.omega_c > 0.0):
-            raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
+        if not (0.0 < self.omega_c < math.inf):
+            raise ValueError(f"omega_c must be finite and > 0, got {self.omega_c}")
 
     def __call__(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -82,8 +81,7 @@ class DephasingModel:
     spectral: SpectralDensity
 
     def __post_init__(self):
-        if not (0.0 < self.beta < math.inf):
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        _require_beta(self.beta)
 
     @property
     def e1(self) -> float:
@@ -156,17 +154,15 @@ _BERNOULLI = np.array(
 #: each: the direct terms k = 0 .. 11, then the half term, the integral pair
 #: and the Bernoulli corrections j = 1 .. 9, all at k = 12. ``_NODE`` is the
 #: column's k, ``_EXPO0 - mu`` its exponent; the Bernoulli weights take the
-#: powers ``2j - 1`` of ``beta / X`` and ``Gamma(mu + 2j)``.
+#: powers ``2j - 1`` of ``beta / X`` and ``Gamma(mu + 2j)``. ``_COLUMNS``
+#: holds each column's k and exponent offset as Python numbers, for the
+#: point pass.
 _J = np.arange(1, _N_BERNOULLI + 2)
-_NODE = np.minimum(np.arange(_N_DIRECT + _J.size + 3), _N_DIRECT).astype(float)
+_NODE = np.minimum(np.arange(_N_DIRECT + _J.size + 3), _N_DIRECT)
 _EXPO0 = np.concatenate([np.zeros(_N_DIRECT + 2), [1.0], 1.0 - 2 * _J])
 _POWER = (2 * _J - 1).astype(float)
-_GAMMA_ARG = (2 * _J).astype(float)
 _EPS = float(np.finfo(float).eps)
-#: The same layout as Python floats, for the one-point pass: the distinct
-#: nodes k = 0 .. 12, and each column's node index and exponent offset.
-_POINT_NODES = _NODE[: _N_DIRECT + 1].tolist()
-_POINT_COLUMNS = list(zip(_NODE.astype(int).tolist(), _EXPO0.tolist()))
+_COLUMNS = list(zip(_NODE.tolist(), _EXPO0.tolist()))
 
 
 def _div(num, den):
@@ -182,6 +178,46 @@ def _q(e, lam, phi):
     return first - phi * sin_h * _div(sin_h, h)
 
 
+def _gamma_weights(spec: SpectralDensity, beta: float) -> tuple[list, list, float, float]:
+    """Everything of gamma(t) that does not depend on t, as Python floats.
+
+    Returns ``(s, coef, integral, rounding)``: the nodes ``s_k = 1/w_c +
+    k beta`` for k = 0 .. 12, each column's weight (layout in ``_NODE``),
+    the integral term's weight ``2 Gamma(mu + 1) X^(1-mu) / beta`` and the
+    factor that takes the pieces' absolute sum to their rounding error. The
+    powers take numpy's forms: X^-mu a scalar (libm) power, s^-mu
+    ``ndarray ** -mu`` (numpy's fast paths, e.g. sqrt at mu = -0.5), the
+    Bernoulli powers one array power. Raises :class:`QuadratureFailure`
+    where a Gamma weight overflows (from mu > 153.6, inside the domain
+    mu > -1).
+    """
+    mu = spec.mu
+    try:
+        g1 = math.gamma(mu + 1.0)
+        gammas = [math.gamma(mu + 2.0 * j) for j in range(1, _N_BERNOULLI + 2)]
+    except OverflowError:
+        raise QuadratureFailure(
+            f"Gamma(mu + {2 * _N_BERNOULLI + 2}) overflows at mu = {mu}: the "
+            "Euler-Maclaurin weights of gamma(t) are not finite"
+        ) from None
+    inv_wc = 1.0 / spec.omega_c
+    s = [inv_wc + beta * k for k in range(_N_DIRECT + 1)]
+    x = s[-1]
+    x_mu = float(np.float64(x) ** -mu)
+    integral = 2.0 * g1 * x_mu * x / beta
+    coef = [2.0 * g1 * p for p in (np.array(s[:_N_DIRECT]) ** -mu).tolist()]
+    coef[0] *= 0.5  # the k = 0 term of the coth expansion has weight 1
+    coef += [g1 * x_mu, -integral, integral]
+    coef += [
+        2.0 * b * g * p * x_mu
+        for b, g, p in zip(_BERNOULLI.tolist(), gammas, ((beta / x) ** _POWER).tolist())
+    ]
+    # rounding: the pieces' magnitudes times their conditioning (s^-mu carries
+    # |mu|, Q(-mu) cancels like 1/(1 + mu) at small t)
+    rounding = 8.0 * (4.0 + abs(mu) + 1.0 / (1.0 + mu)) * _EPS
+    return s, coef, integral, rounding
+
+
 def _gamma_values(
     spec: SpectralDensity, beta: float, times, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -193,60 +229,33 @@ def _gamma_values(
     Euler-Maclaurin at ``X = s_12``: the half term, the integral term
     ``Gamma(mu + 1) X^(1-mu) / beta [Q(1-mu) - Q(-mu) - delta e^(-mu lam) phi
     sinc(mu phi)]`` and the Bernoulli corrections. Each column of ``q`` is one
-    piece (layout in ``_NODE``), ``coef`` its weight. The summand is completely
-    monotone in k, so the remainder is at most twice the first neglected
-    correction. Raises :class:`QuadratureFailure` where
-    ``bound > tol * max(1, gamma)``, or where a Gamma weight overflows.
+    piece (layout in ``_NODE``), ``coef`` its weight from
+    :func:`_gamma_weights`. The summand is completely monotone in k, so the
+    remainder is at most twice the first neglected correction. Raises
+    :class:`QuadratureFailure` where ``bound > tol * max(1, gamma)``, or
+    where a Gamma weight overflows.
     """
     mu, j0 = spec.mu, spec.j0
-    g1, gammas = _gamma_weights(mu)
+    s, coef, integral, rounding = _gamma_weights(spec, beta)
     t = np.asarray(times, dtype=float)[:, None]
-    at = 1.0 / spec.omega_c + beta * _NODE
-    x = at[-1]
-    delta = t / at
+    delta = t / np.array(s)[_NODE]
     lam, phi = 0.5 * np.log1p(delta * delta), -np.arctan(delta)
     q = _q(_EXPO0 - mu, lam, phi)
-
-    x_mu = x**-mu
-    integral = 2.0 * g1 * x_mu * x / beta
-    coef = np.empty(at.shape)
-    coef[:_N_DIRECT] = 2.0 * g1 * at[:_N_DIRECT] ** -mu
-    coef[0] *= 0.5  # the k = 0 term of the coth expansion has weight 1
-    coef[_N_DIRECT:_N_DIRECT + 3] = g1 * x_mu, -integral, integral
-    coef[_N_DIRECT + 3:] = 2.0 * _BERNOULLI * gammas * (beta / x) ** _POWER * x_mu
     dx, lx, px = delta[:, -1], lam[:, -1], phi[:, -1]
     mpx = mu * px
     tilt = -integral * dx * np.exp(-mu * lx) * px * _div(np.sin(mpx), mpx)
 
-    terms = j0 * q * coef
+    terms = j0 * q * np.array(coef)
     summed = terms[:, :-1]
     value = summed.sum(axis=1) + j0 * tilt
-    # rounding: the pieces' magnitudes times their conditioning (s^-mu carries
-    # |mu|, Q(-mu) cancels like 1/(1 + mu) at small t)
     abs_sum = np.abs(summed).sum(axis=1) + j0 * np.abs(tilt)
-    rounding = 8.0 * (4.0 + abs(mu) + 1.0 / (1.0 + mu)) * _EPS * abs_sum
-    bound = 2.0 * np.abs(terms[:, -1]) + rounding
+    bound = 2.0 * np.abs(terms[:, -1]) + rounding * abs_sum
 
     ok = bound <= tol * np.maximum(1.0, value)
     if not ok.all():
         i = int(np.argmin(ok))
         raise _bound_failure(t[i, 0], bound[i], value[i])
     return np.maximum(value, 0.0), bound
-
-
-def _gamma_weights(mu: float) -> tuple[float, list[float]]:
-    """Gamma(mu + 1) and the Bernoulli weights' Gamma(mu + 2j), j = 1 .. 9.
-
-    Raises :class:`QuadratureFailure` where one overflows (from mu > 153.6,
-    inside the domain mu > -1).
-    """
-    try:
-        return math.gamma(mu + 1.0), [math.gamma(mu + a) for a in _GAMMA_ARG.tolist()]
-    except OverflowError:
-        raise QuadratureFailure(
-            f"Gamma(mu + {_GAMMA_ARG[-1]:g}) overflows at mu = {mu}: the "
-            "Euler-Maclaurin weights of gamma(t) are not finite"
-        ) from None
 
 
 def _bound_failure(t, bound, value) -> QuadratureFailure:
@@ -261,24 +270,21 @@ def _gamma_point(
     """gamma(t) and its error bound at one time t > 0, bit for bit those of
     ``_gamma_values(spec, beta, [t], tol)``.
 
-    The same pieces from the same layout constants, in the same order of
-    operations and under the same bound rule. Each transcendental kernel is
-    one numpy call over all the pieces, so it gives the grid pass's bits;
-    the ``+ - * /`` between them run on Python floats, which round as
-    numpy's do, and the two row sums stay numpy (pairwise) sums.
+    The same weights from :func:`_gamma_weights`, the same pieces in the
+    same order of operations and the same bound rule. Each transcendental
+    kernel is one numpy call over all the pieces, so it gives the grid
+    pass's bits; the ``+ - * /`` between them run on Python floats, which
+    round as numpy's do, and the two row sums stay numpy (pairwise) sums.
     """
     mu, j0 = spec.mu, spec.j0
-    g1, gammas = _gamma_weights(mu)
-    inv_wc = 1.0 / spec.omega_c
-    at = [inv_wc + beta * k for k in _POINT_NODES]
-    x = at[-1]
-    delta = [t / a if a else math.inf for a in at]  # a = 0 only at omega_c = inf
+    s, coef, integral, rounding = _gamma_weights(spec, beta)
+    delta = [t / a for a in s]
     lam = [0.5 * v for v in np.log1p([d * d for d in delta]).tolist()]
     phi = [-v for v in np.arctan(delta).tolist()]
 
     # _q over the columns
     lam_c, phi_c, e_lam, h = [], [], [], []
-    for k, e0 in _POINT_COLUMNS:
+    for k, e0 in _COLUMNS:
         e, lk, pk = e0 - mu, lam[k], phi[k]
         lam_c.append(lk)
         phi_c.append(pk)
@@ -286,30 +292,10 @@ def _gamma_point(
         h.append(0.5 * e * pk)
     mpx = mu * phi[-1]
     *sin_h, sin_mpx = np.sin(h + [mpx]).tolist()
+    expm1, cos = np.expm1(e_lam).tolist(), np.cos([2.0 * v for v in h]).tolist()
     q = [
-        lk * (m / el if el else 1.0) * c - pk * s * (s / hh if hh else 1.0)
-        for lk, pk, el, m, c, hh, s in zip(
-            lam_c,
-            phi_c,
-            e_lam,
-            np.expm1(e_lam).tolist(),
-            np.cos([2.0 * v for v in h]).tolist(),
-            h,
-            sin_h,
-        )
-    ]
-
-    # the powers take the grid pass's numpy forms: X^-mu a scalar (libm)
-    # power, s^-mu ``ndarray ** -mu`` (numpy's fast paths, e.g. sqrt at
-    # mu = -0.5), the Bernoulli powers one array power
-    x_mu = float(np.float64(x) ** -mu)
-    integral = 2.0 * g1 * x_mu * x / beta
-    coef = [2.0 * g1 * p for p in (np.array(at[:_N_DIRECT]) ** -mu).tolist()]
-    coef[0] *= 0.5  # the k = 0 term of the coth expansion has weight 1
-    coef += [g1 * x_mu, -integral, integral]
-    coef += [
-        2.0 * b * g * p * x_mu
-        for b, g, p in zip(_BERNOULLI.tolist(), gammas, ((beta / x) ** _POWER).tolist())
+        lk * (m / el if el else 1.0) * c - pk * sn * (sn / hh if hh else 1.0)
+        for lk, pk, el, m, c, hh, sn in zip(lam_c, phi_c, e_lam, expm1, cos, h, sin_h)
     ]
     tilt = (
         -integral * delta[-1] * float(np.exp(-mu * lam[-1])) * phi[-1]
@@ -321,11 +307,16 @@ def _gamma_point(
     row_sum, abs_row_sum = np.array([summed, [abs(v) for v in summed]]).sum(axis=1).tolist()
     value = row_sum + j0 * tilt
     abs_sum = abs_row_sum + j0 * abs(tilt)
-    rounding = 8.0 * (4.0 + abs(mu) + 1.0 / (1.0 + mu)) * _EPS * abs_sum
-    bound = 2.0 * abs(terms[-1]) + rounding
+    bound = 2.0 * abs(terms[-1]) + rounding * abs_sum
     if not bound <= tol * (1.0 if value < 1.0 else value):
         raise _bound_failure(t, bound, value)
     return (value if value > 0.0 else 0.0), bound
+
+
+def _require_beta(beta: float) -> None:
+    """ValueError unless beta is a finite inverse temperature > 0."""
+    if not (0.0 < beta < math.inf):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
 
 
 def _require_time(t: float) -> None:
@@ -400,9 +391,10 @@ def evolve_exact_given_d(varrho0, e1: float, t, d) -> np.ndarray:
         r12(t) = r11(0) - 1/2 + i Im[r12(0) e^(-i E1 t)] D(t)
 
     with r22 = 1 - r11 and r21 = conj(r12). ``t`` and ``d`` are scalars or
-    aligned arrays; the states have shape ``(..., 2, 2)``. A scalar ``t``
-    and ``d`` take a scalar path in Python complex arithmetic, equal bit for
-    bit to the array branch's entry. The formulas at
+    aligned arrays of any kind, 0-d included; the states have shape
+    ``(..., 2, 2)``, from one numpy pass, so a scalar call gives the bits of
+    the matching entry of an array call. ``varrho0`` must be a qubit state,
+    else :class:`DimensionMismatch`. The formulas at
     t = 0 with D(0) = 1 must reproduce the input state (this restricts
     admissible initial states to r11(0) = 1/2, Re r12(0) = 0); otherwise
     :class:`InconsistentInitialState` is raised rather than guessing a
@@ -410,7 +402,7 @@ def evolve_exact_given_d(varrho0, e1: float, t, d) -> np.ndarray:
     """
     rho0 = require_density_matrix(varrho0, name="varrho0")
     if rho0.shape != (2, 2):
-        raise InconsistentInitialState("the exact solution is for a qubit (2x2)")
+        raise DimensionMismatch(f"varrho0 must be a qubit state, got {rho0.shape}")
     r11_0 = float(rho0[0, 0].real)
     r12_0 = complex(rho0[0, 1])
 
@@ -423,19 +415,6 @@ def evolve_exact_given_d(varrho0, e1: float, t, d) -> np.ndarray:
             f"got r11(0) = {r11_0:.6g}, r12(0) = {r12_0:.6g}"
         )
 
-    scalar = isinstance(t, (int, float)) and isinstance(d, (int, float))
-    if scalar and math.isfinite(e1 * t):  # else cmath.exp raises, numpy gives NaN
-        # One time point in Python complex arithmetic, with complex operands
-        # throughout as numpy promotes its float ones (Python >= 3.14
-        # multiplies a complex by a float componentwise, which can flip the
-        # sign of a zero). The product with r12(0) stays a numpy array
-        # operation: its complex multiply may fuse (FMA), Python's does not.
-        phase = cmath.exp(-1j * e1 * complex(t))
-        rot = complex((r12_0 * np.array([phase]))[0])
-        d = float(d)
-        r11 = 0.5 - rot.real * d
-        r12 = complex(r11_0 - 0.5) + 1j * complex(rot.imag) * complex(d)
-        return np.array([[r11, r12], [r12.conjugate(), 1.0 - r11]])
     rot = r12_0 * np.exp(-1j * e1 * np.asarray(t, dtype=float))
     d = np.asarray(d, dtype=float)
     r11 = 0.5 - rot.real * d
@@ -493,8 +472,7 @@ def sweep_alpha(
     if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be ascending and nonnegative")
 
-    if not (0.0 < beta < math.inf):
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    _require_beta(beta)
     if np.any(np.abs(alphas) < 1.0):
         gamma, _ = _gamma_values(spectral, beta, times, tol)
     else:

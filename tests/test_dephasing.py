@@ -8,6 +8,7 @@ from ptdeco import dephasing, pt_core
 from ptdeco.dephasing import DephasingModel, SpectralDensity
 from ptdeco.errors import (
     BrokenPhase,
+    DimensionMismatch,
     ExceptionalPoint,
     InconsistentInitialState,
     InvalidExponent,
@@ -69,9 +70,14 @@ class TestSpectralDensity:
         with pytest.raises(InvalidExponent):
             SpectralDensity(j0=1.0, mu=-1.0, omega_c=1.0)
 
-    def test_invalid_cutoff(self):
-        with pytest.raises(ValueError):
-            SpectralDensity(j0=1.0, mu=0.0, omega_c=0.0)
+    @pytest.mark.parametrize("omega_c", [math.inf, 0.0, -1.0])
+    def test_invalid_cutoff(self, omega_c):
+        # omega_c = inf would reach gamma as 1/inf = 0 and fail there with
+        # an error bound of nan; it stops here, with no floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="omega_c must be finite and > 0"):
+                SpectralDensity(j0=1.0, mu=0.0, omega_c=omega_c)
 
     def test_nan_parameters_rejected(self):
         with pytest.raises(ValueError, match="j0"):
@@ -423,15 +429,30 @@ class TestEvolveExactGivenD:
                 scalar = dephasing.evolve_exact_given_d(rho0, e1, t, d)
                 assert scalar.tobytes() == rho.tobytes(), (e1, t, d)
 
-    def test_scalar_call_is_one_matrix(self):
-        rho = dephasing.evolve_exact_given_d(self.RHO0, -0.8, 1.3, 0.7)
-        assert rho.shape == (2, 2)
-        assert rho.dtype == complex
+    @pytest.mark.parametrize(
+        "kind", [float, int, np.float64, np.array], ids=["float", "int", "float64", "0-d"]
+    )
+    def test_scalar_call_is_one_matrix(self, kind):
+        # every scalar kind of t and d takes the one numpy pass, with the
+        # bits of the Python-float call
+        reference = dephasing.evolve_exact_given_d(self.RHO0, -0.8, 3.0, 1.0)
+        for t, d in ((kind(3), kind(1)), (kind(3), 1.0), (3.0, kind(1))):
+            rho = dephasing.evolve_exact_given_d(self.RHO0, -0.8, t, d)
+            assert rho.shape == (2, 2)
+            assert rho.dtype == complex
+            assert rho.tobytes() == reference.tobytes(), (t, d)
 
     def test_state_validated_once(self, monkeypatch):
         calls = count_calls(monkeypatch, dephasing, "require_density_matrix")
         dephasing.evolve_exact_given_d(self.RHO0, -0.8, np.linspace(0.0, 1.0, 9), np.ones(9))
         assert calls == [(2, 2)]
+
+    def test_qutrit_state_is_a_dimension_mismatch(self):
+        rho0 = np.eye(3) / 3.0
+        with pytest.raises(DimensionMismatch, match="qubit"):
+            dephasing.evolve_exact_given_d(rho0, -0.8, 1.0, 0.9)
+        with pytest.raises(DimensionMismatch, match="qubit"):
+            dephasing.evolve_exact(fig1_model(0.5), rho0, 1.0)
 
     def test_inconsistent_state_rejected_for_arrays(self):
         with pytest.raises(InconsistentInitialState):
