@@ -474,8 +474,8 @@ def _write_csv(cfg: ScenarioConfig, command: str, names, table, extra) -> str:
 def cmd_figure1(cfg: ScenarioConfig) -> int:
     _require_unbroken_alphas(cfg)
     models = cfg.models()
-    table = dephasing.sweep_alpha(
-        cfg.alphas, cfg.times(), models[0].spectral, cfg.beta, tol=cfg.tol
+    table = _checked(
+        dephasing.sweep_alpha, cfg.alphas, cfg.times(), models[0].spectral, cfg.beta, tol=cfg.tol
     )
     names = ["t"] + [f"D_alpha={_label(a)}" for a in cfg.alphas]
     out = _write_csv(cfg, "figure1", names, np.column_stack((table.times, table.decoherence)), ())
@@ -496,10 +496,12 @@ def cmd_evolve(cfg: ScenarioConfig) -> int:
         [[cfg.state_r11, r12], [np.conj(r12), 1.0 - cfg.state_r11]], dtype=complex
     )
     cmap = dephasing.qubit_transform(model.alpha) if cfg.representation == "pt" else None
-    # the state at t = 0 needs no gamma: an inadmissible rho0 fails first
-    dephasing.evolve_exact_given_d(rho0, model.e1, 0.0, 1.0)
+    # the state is checked before gamma runs
+    pt_core.require_density_matrix(rho0, name="varrho0")
 
-    table = dephasing.sweep_alpha([model.alpha], times, model.spectral, model.beta, tol=cfg.tol)
+    table = _checked(
+        dephasing.sweep_alpha, [model.alpha], times, model.spectral, model.beta, tol=cfg.tol
+    )
     rhos = dephasing.evolve_exact_given_d(rho0, model.e1, times, table.decoherence[:, 0])
     if cmap is not None:
         rhos = pt_core.map_state_back(rhos, cmap)

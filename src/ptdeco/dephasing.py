@@ -39,7 +39,6 @@ from .errors import (
     BrokenPhase,
     DimensionMismatch,
     ExceptionalPoint,
-    InconsistentInitialState,
     InvalidExponent,
     QuadratureFailure,
 )
@@ -60,10 +59,12 @@ class SpectralDensity:
 
     def __post_init__(self):
         # written as not (x > bound) so that NaN fails each check
-        if not (self.j0 >= 0.0):
-            raise ValueError(f"j0 must be >= 0, got {self.j0}")
+        if not (0.0 <= self.j0 < math.inf):
+            raise ValueError(f"j0 must be finite and >= 0, got {self.j0}")
         if not (self.mu > -1.0):
             raise InvalidExponent(f"mu = {self.mu} is not > -1: gamma(t) diverges")
+        if self.mu == math.inf:
+            raise ValueError(f"mu must be finite and > -1, got {self.mu}")
         if not (0.0 < self.omega_c < math.inf):
             raise ValueError(f"omega_c must be finite and > 0, got {self.omega_c}")
 
@@ -319,6 +320,12 @@ def _require_beta(beta: float) -> None:
         raise ValueError(f"beta must be finite and > 0, got {beta}")
 
 
+def _require_tol(tol: float) -> None:
+    """ValueError unless tol is a tolerance > 0 (NaN fails)."""
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be > 0, got {tol}")
+
+
 def _require_time(t: float) -> None:
     """ValueError unless t is a finite time >= 0."""
     if not math.isfinite(t):
@@ -331,8 +338,10 @@ def gamma_integral(
     model: DephasingModel, t: float, tol: float = DEFAULT_GAMMA_TOL
 ) -> GammaResult:
     """Bath integral gamma(t); the error bound satisfies
-    ``err <= tol * max(1, gamma)`` or :class:`QuadratureFailure` is raised."""
+    ``err <= tol * max(1, gamma)`` or :class:`QuadratureFailure` is raised;
+    ``tol`` must be > 0."""
     _require_time(t)
+    _require_tol(tol)
     if t == 0.0:
         return GammaResult(0.0, 0.0, 0)
     value, bound = _gamma_point(model.spectral, model.beta, float(t), tol)
@@ -365,10 +374,11 @@ def decoherence_function(
 
 def _decoherence(model: DephasingModel, t: float, tol: float) -> tuple[float, float]:
     """(E1, D(t)), with t checked before alpha and each checked once:
-    inside the unbroken phase :func:`gamma_integral` checks t."""
+    inside the unbroken phase :func:`gamma_integral` checks t and tol."""
     alpha = model.alpha
     if t == 0.0 or not abs(alpha) < 1.0:  # D = 1, or a NaN or broken alpha
         _require_time(t)
+        _require_tol(tol)
         return qubit_energies(alpha)[0], 1.0
     gamma = gamma_integral(model, t, tol)
     e1, _ = qubit_energies(alpha)
@@ -385,40 +395,34 @@ def ohmic_asymptote(alpha: float, j0: float, beta: float, t: float) -> float:
 
 
 def evolve_exact_given_d(varrho0, e1: float, t, d) -> np.ndarray:
-    """The transcribed closed-form solution with an externally supplied D(t).
+    """The closed-form qubit state with an externally supplied D(t).
 
-        r11(t) = 1/2 - Re[r12(0) e^(-i E1 t)] D(t)
-        r12(t) = r11(0) - 1/2 + i Im[r12(0) e^(-i E1 t)] D(t)
+    The coupling and ``h`` are both diagonal in the sigma_x eigenbasis
+    (+, -), so there the populations stay put and the one coherence
+    ``rho_+-(0) = (r11(0) - 1/2) - i Im r12(0)`` turns and decays:
 
-    with r22 = 1 - r11 and r21 = conj(r12). ``t`` and ``d`` are scalars or
-    aligned arrays of any kind, 0-d included; the states have shape
-    ``(..., 2, 2)``, from one numpy pass, so a scalar call gives the bits of
-    the matching entry of an array call. ``varrho0`` must be a qubit state,
-    else :class:`DimensionMismatch`. The formulas at
-    t = 0 with D(0) = 1 must reproduce the input state (this restricts
-    admissible initial states to r11(0) = 1/2, Re r12(0) = 0); otherwise
-    :class:`InconsistentInitialState` is raised rather than guessing a
-    correction.
+        r11(t) = 1/2 + Re[rho_+-(0) e^(-i E1 t)] D(t)
+        r12(t) = Re r12(0) - i Im[rho_+-(0) e^(-i E1 t)] D(t)
+
+    with r22 = 1 - r11 and r21 = conj(r12). Any qubit density matrix is
+    accepted; ``varrho0`` of another shape is a :class:`DimensionMismatch`.
+    The rotation factor ``e^(-i E1 t)`` does not yet follow the Bohr
+    frequency ``E2 - E1`` of ``h``. ``t`` and ``d`` are scalars or aligned
+    arrays of any kind, 0-d included; the states have shape ``(..., 2, 2)``,
+    from one numpy pass, so a scalar call gives the bits of the matching
+    entry of an array call.
     """
     rho0 = require_density_matrix(varrho0, name="varrho0")
     if rho0.shape != (2, 2):
         raise DimensionMismatch(f"varrho0 must be a qubit state, got {rho0.shape}")
-    r11_0 = float(rho0[0, 0].real)
-    r12_0 = complex(rho0[0, 1])
+    r11_0, r12_0 = rho0.item(0).real, rho0.item(1)  # as Python numbers
 
-    r11_at0 = 0.5 - r12_0.real
-    r12_at0 = (r11_0 - 0.5) + 1j * r12_0.imag
-    if abs(r11_at0 - r11_0) > 1e-9 or abs(r12_at0 - r12_0) > 1e-9:
-        raise InconsistentInitialState(
-            "the closed-form solution at t=0 requires r11(0) = 1/2 - Re r12(0) "
-            "and Re r12(0) = r11(0) - 1/2, i.e. r11(0) = 1/2 and Re r12(0) = 0; "
-            f"got r11(0) = {r11_0:.6g}, r12(0) = {r12_0:.6g}"
-        )
-
-    rot = r12_0 * np.exp(-1j * e1 * np.asarray(t, dtype=float))
+    rot = np.exp(-1j * e1 * np.asarray(t, dtype=float))
+    coherence = complex(r11_0 - 0.5, -r12_0.imag) * rot
     d = np.asarray(d, dtype=float)
-    r11 = 0.5 - rot.real * d
-    r12 = (r11_0 - 0.5) + 1j * rot.imag * d
+    r11 = 0.5 + coherence.real * d
+    # + 0.0 writes a zero Re r12(0) as +0.0, whatever its sign
+    r12 = (r12_0.real + 0.0) - 1j * coherence.imag * d
     rho = np.empty(r11.shape + (2, 2), dtype=complex)
     rho[..., 0, 0], rho[..., 0, 1] = r11, r12
     rho[..., 1, 0], rho[..., 1, 1] = np.conj(r12), 1.0 - r11
@@ -431,7 +435,7 @@ def evolve_exact(
     """Exact reduced qubit state at time t in the hermitian representation.
 
     Computes D(t) from the bath integral and applies
-    :func:`evolve_exact_given_d`; see there for the admissible-state check.
+    :func:`evolve_exact_given_d` to any qubit density matrix ``varrho0``.
     """
     e1, d = _decoherence(model, t, tol)
     return evolve_exact_given_d(varrho0, e1, t, d)
@@ -458,6 +462,7 @@ def sweep_alpha(
 
     gamma(t) is computed once for the whole time grid and reused across
     alphas, so columns for +alpha and -alpha are identical by construction.
+    ``tol`` must be > 0.
     """
     alphas = np.asarray(list(alphas), dtype=float)
     times = np.asarray(list(times), dtype=float)
@@ -473,6 +478,7 @@ def sweep_alpha(
         raise ValueError("times must be ascending and nonnegative")
 
     _require_beta(beta)
+    _require_tol(tol)
     if np.any(np.abs(alphas) < 1.0):
         gamma, _ = _gamma_values(spectral, beta, times, tol)
     else:

@@ -60,11 +60,6 @@ class InvalidExponent(PtDecoError, ValueError):
     """Spectral-density exponent mu <= -1 makes the bath integral divergent."""
 
 
-class InconsistentInitialState(PtDecoError):
-    """The exact-solution formulas evaluated at t=0 do not reproduce the given
-    initial state."""
-
-
 class LengthMismatch(PtDecoError):
     """Two sequences expected to align index-by-index have different lengths."""
 

@@ -27,6 +27,7 @@ against them.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -64,6 +65,8 @@ class DiscreteBath:
         gs = np.asarray(self.gs, dtype=float)
         if omegas.ndim != 1 or omegas.shape != gs.shape:
             raise LengthMismatch("omegas and gs must be 1-D and aligned")
+        if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(gs))):
+            raise ValueError("mode frequencies and couplings must be finite")
         if not np.all(omegas > 0.0):
             raise ValueError("mode frequencies must be positive")
         # Sorted neighbours rather than np.unique, whose first call imports
@@ -71,8 +74,10 @@ class DiscreteBath:
         ordered = np.sort(omegas)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("mode frequencies must be distinct")
-        if self.fock_dim < 2:
-            raise ValueError(f"fock_dim must be >= 2, got {self.fock_dim}")
+        fock_dim = _count(self.fock_dim, "fock_dim")
+        if fock_dim < 2:
+            raise ValueError(f"fock_dim must be >= 2, got {fock_dim}")
+        object.__setattr__(self, "fock_dim", fock_dim)
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "gs", gs)
 
@@ -83,6 +88,14 @@ class DiscreteBath:
     @property
     def dim_b(self) -> int:
         return self.fock_dim**self.n_modes
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int, if it is an integer of any kind; else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _require_within_cap(bath: DiscreteBath) -> None:
@@ -106,10 +119,11 @@ def discretize_bath(
     so the discrete ``gamma_N`` converges to the bath integral (second
     order in the bin width) as n_modes grows.
     """
+    n_modes = _count(n_modes, "n_modes")
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if not (omega_max > 0.0):
-        raise ValueError(f"omega_max must be > 0, got {omega_max}")
+    if not (0.0 < omega_max < math.inf):
+        raise ValueError(f"omega_max must be finite and > 0, got {omega_max}")
     d_omega = omega_max / n_modes
     omegas = (np.arange(n_modes) + 0.5) * d_omega
     gs = np.sqrt(spectral(omegas) * d_omega)
@@ -328,9 +342,9 @@ class ComparisonReport:
         return self.fit_residual <= compare_tol
 
 
-#: Default initial state for comparison runs: the closed-form solution
-#: requires r11 = 1/2 and Re r12 = 0; full imaginary coherence maximizes
-#: the sigma_x-basis signal.
+#: Default initial state for comparison runs: the closed form takes any
+#: qubit state, and this one's sigma_x-basis coherence |rho_+-(0)| = 1/2 is
+#: the largest a qubit state has, which maximizes the signal.
 DEFAULT_INITIAL_STATE = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
 
 

@@ -223,33 +223,32 @@ class TestEvolveCommand:
                 saw_non_hermitian = True
         assert saw_non_hermitian
 
-    def test_inconsistent_state_exit1(self, capsys):
-        code = run(["evolve", "--alpha", "0.5", "--state", "0.7,0.1,0"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "InconsistentInitialState" in err
-        assert "r11(0) = 1/2 - Re r12(0)" in err
-
-    def test_inconsistent_state_reported_before_gamma(self, tmp_path, capsys):
+    def test_invalid_state_reported_before_gamma(self, tmp_path, capsys):
         # a tolerance no gamma(t) can meet: the state check must come first
         out = tmp_path / "ev.csv"
-        argv = ["evolve", "--state", "0.7,0.1,0", "--tol", "1e-18", "--out", str(out)]
+        argv = ["evolve", "--state", "1.2,0,0", "--tol", "1e-18", "--out", str(out)]
         assert run(argv) == 1
-        assert "InconsistentInitialState" in capsys.readouterr().err
+        assert "NotDensityMatrix" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("representation", ["hermitian", "pt"])
-    def test_matches_per_time_evolve_exact(self, tmp_path, representation):
+    @pytest.mark.parametrize("state", ["0.5,0,-0.4", "0.7,0.1,0.2", "0.5,0.2,0.3"])
+    def test_matches_per_time_evolve_exact(self, tmp_path, representation, state):
+        # any qubit state evolves; the t = 0 state is the input
         out = tmp_path / "ev.csv"
         argv = [
-            "evolve", "--alpha", "0.7", "--state", "0.5,0,-0.4", "--beta", "2",
+            "evolve", "--alpha", "0.7", "--state", state, "--beta", "2",
             "--n-points", "25", "--t-end", "9", "--representation", representation,
             "--out", str(out),
         ]
         assert run(argv) == 0
         _, _, rows = read_rows(out)
         model = dephasing.DephasingModel(0.7, 2.0, dephasing.SpectralDensity(1.0, -0.5, 1.0))
-        rho0 = np.array([[0.5, -0.4j], [0.4j, 0.5]])
+        r11, re12, im12 = (float(x) for x in state.split(","))
+        rho0 = np.array([[r11, re12 + 1j * im12], [re12 - 1j * im12, 1.0 - r11]])
+        np.testing.assert_allclose(
+            dephasing.evolve_exact(model, rho0, 0.0), rho0, rtol=0.0, atol=1e-15
+        )
         cmap = dephasing.qubit_transform(0.7)
         for row in rows:
             rho = dephasing.evolve_exact(model, rho0, row[0])
@@ -349,6 +348,8 @@ class TestParameterChecks:
             (["oracle-compare", "--fock-dim", "1"], "fock_dim"),
             (["oracle-compare", "--omega-max", "-1"], "omega_max"),
             (["figure1", "--mu", "-1"], "mu"),
+            (["figure1", "--tol", "0"], "tol"),
+            (["evolve", "--tol", "-1"], "tol"),
             (["evolve", "--mu", "-1.5"], "mu"),
             (["oracle-compare", "--mu", "-3"], "mu"),
         ],

@@ -10,12 +10,11 @@ from ptdeco.errors import (
     BrokenPhase,
     DimensionMismatch,
     ExceptionalPoint,
-    InconsistentInitialState,
     InvalidExponent,
     QuadratureFailure,
 )
 
-from .conftest import count_calls
+from .conftest import count_calls, random_density_matrix
 from .oracles import gamma_discrete_loops, gamma_hurwitz_mpmath, gamma_trapezoid
 
 # no step of gamma(t), D(t) or the closed-form states may overflow, divide by
@@ -69,6 +68,17 @@ class TestSpectralDensity:
     def test_invalid_exponent(self):
         with pytest.raises(InvalidExponent):
             SpectralDensity(j0=1.0, mu=-1.0, omega_c=1.0)
+
+    @pytest.mark.parametrize("field", ["j0", "mu"])
+    def test_infinite_strength_or_exponent(self, field):
+        # j0 = inf or mu = inf would reach gamma through floating-point
+        # warnings and fail there with an error bound of inf or nan; each
+        # stops here, with no warning
+        params = {"j0": 1.0, "mu": 0.0, "omega_c": 1.0, field: math.inf}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SpectralDensity(**params)
 
     @pytest.mark.parametrize("omega_c", [math.inf, 0.0, -1.0])
     def test_invalid_cutoff(self, omega_c):
@@ -212,6 +222,21 @@ class TestGammaIntegral:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             dephasing.gamma_integral(fig1_model(0.0), -1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        # a zero error bound cannot meet tol <= 0: the tolerance is at fault,
+        # not gamma, at every t and alpha, also where D = 1 needs no gamma
+        rho0 = np.eye(2) / 2.0
+        for alpha, t in ((0.0, 0.0), (0.0, 10.0), (1.0, 10.0)):
+            model = fig1_model(alpha)
+            for call in (
+                lambda: dephasing.gamma_integral(model, t, tol=tol),
+                lambda: dephasing.decoherence_function(model, t, tol=tol),
+                lambda: dephasing.evolve_exact(model, rho0, t, tol=tol),
+            ):
+                with pytest.raises(ValueError, match="tol must be > 0"):
+                    call()
 
     def test_gamma_function_overflow_is_quadrature_failure(self):
         # Gamma(mu + 18) overflows past mu = 153.6, inside the domain mu > -1
@@ -363,16 +388,6 @@ class TestEvolveExact:
             expected_r11 = 0.5 - (0.4j * np.exp(-1j * e1 * t)).real * d
             assert rho[0, 0].real == pytest.approx(expected_r11, abs=1e-14)
 
-    def test_inconsistent_initial_state_rejected(self):
-        model = fig1_model(0.5)
-        # the t=0 self-consistency fails whenever Re r12 != 0 or r11 != 1/2
-        bad = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(InconsistentInitialState):
-            dephasing.evolve_exact(model, bad, 1.0)
-        bad2 = np.diag([0.7, 0.3])
-        with pytest.raises(InconsistentInitialState):
-            dephasing.evolve_exact(model, bad2, 1.0)
-
 
 class TestNonFiniteTime:
     """A NaN or infinite time is a ValueError, with no numpy warning, at
@@ -418,8 +433,8 @@ class TestEvolveExactGivenD:
 
     @pytest.mark.parametrize("re12", [9e-10, -9e-10, 1e-10])
     def test_scalar_state_is_the_array_branch_for_complex_r12(self, re12):
-        # a nonzero Re r12(0), just inside the admissibility window, takes the
-        # general complex product r12(0) e^(-i E1 t)
+        # a general state, here with a small nonzero Re r12(0), takes the
+        # same one numpy pass
         rho0 = np.array([[0.5, re12 + 0.35j], [re12 - 0.35j, 0.5]])
         times = np.concatenate([[0.0], np.logspace(-6.0, 6.0, 25)])
         ds = np.linspace(1.0, 0.0, times.size)
@@ -454,9 +469,57 @@ class TestEvolveExactGivenD:
         with pytest.raises(DimensionMismatch, match="qubit"):
             dephasing.evolve_exact(fig1_model(0.5), rho0, 1.0)
 
-    def test_inconsistent_state_rejected_for_arrays(self):
-        with pytest.raises(InconsistentInitialState):
-            dephasing.evolve_exact_given_d(np.diag([0.7, 0.3]), -0.8, [0.0, 1.0], [1.0, 0.9])
+
+PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
+MINUS = np.array([1.0, -1.0]) / math.sqrt(2.0)
+
+
+def sigma_x_entries(rho):
+    """(rho_++, rho_--, rho_+-) of a qubit state, from the eigenvectors of
+    sigma_x written out."""
+    return tuple(np.vdot(a, rho @ b) for a, b in ((PLUS, PLUS), (MINUS, MINUS), (PLUS, MINUS)))
+
+
+class TestSigmaXBasisMap:
+    """The closed form is pure dephasing in the sigma_x eigenbasis, for any
+    qubit state. No check here fixes its rotation frequency."""
+
+    TIMES = np.linspace(0.0, 9.0, 19)
+    DS = np.linspace(1.0, 0.0, 19)  # every D in [0, 1], both ends included
+
+    @pytest.mark.parametrize(
+        "rho0",
+        [np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]]), np.eye(2) / 2.0],
+        ids=["plus", "minus", "mixed"],
+    )
+    def test_sigma_x_diagonal_states_are_fixed(self, rho0):
+        for e1 in (-1.0, -0.8, -0.31):
+            states = dephasing.evolve_exact_given_d(rho0, e1, self.TIMES, self.DS)
+            for rho in states:
+                np.testing.assert_array_equal(rho, rho0)
+
+    def test_general_states_dephase(self, rng):
+        e1 = dephasing.qubit_energies(0.6)[0]
+        admissible = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+        ref0 = sigma_x_entries(admissible)[2]
+        ratio = np.array(
+            [sigma_x_entries(rho)[2] / ref0
+             for rho in dephasing.evolve_exact_given_d(admissible, e1, self.TIMES, self.DS)]
+        )
+        np.testing.assert_allclose(np.abs(ratio), self.DS, rtol=0.0, atol=1e-15)
+        for _ in range(20):
+            rho0 = random_density_matrix(rng, 2)
+            pp0, mm0, pm0 = sigma_x_entries(rho0)
+            states = dephasing.evolve_exact_given_d(rho0, e1, self.TIMES, self.DS)
+            np.testing.assert_allclose(states[0], rho0, rtol=0.0, atol=1e-15)
+            for rho, expected in zip(states, ratio):
+                pp, mm, pm = sigma_x_entries(rho)
+                assert abs(pp - pp0) <= 1e-15 and abs(mm - mm0) <= 1e-15
+                assert abs(pm - pm0 * expected) <= 1e-15
+                # a density matrix: hermitian, unit trace, no negative eigenvalue
+                np.testing.assert_array_equal(rho, rho.conj().T)
+                assert abs(np.trace(rho) - 1.0) <= 1e-15
+                assert np.linalg.eigvalsh(rho).min() >= -1e-15
 
 
 class TestSweepAlpha:
@@ -500,6 +563,12 @@ class TestSweepAlpha:
     def test_rejects_nan_alpha(self):
         with pytest.raises(ValueError, match="NaN"):
             dephasing.sweep_alpha([0.0, math.nan], [0.0, 1.0], FIG1_SPECTRAL, FIG1_BETA)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("alphas", [[0.0, 0.5], [1.0]])
+    def test_rejects_non_positive_tolerance(self, alphas, tol):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            dephasing.sweep_alpha(alphas, [0.0, 10.0], FIG1_SPECTRAL, FIG1_BETA, tol=tol)
 
     def test_rejects_descending_times(self):
         with pytest.raises(ValueError):

@@ -57,6 +57,32 @@ class TestDiscretizeBath:
         with pytest.raises(ValueError):
             oracle.DiscreteBath(omegas=omegas, gs=[0.1] * len(omegas), fock_dim=3)
 
+    @pytest.mark.parametrize(
+        "build, args, match",
+        [
+            (oracle.discretize_bath, (WEAK_SPECTRAL, 2.5), "n_modes must be an integer"),
+            (oracle.discretize_bath, (WEAK_SPECTRAL, 3, math.inf), "omega_max must be finite"),
+            (oracle.discretize_bath, (WEAK_SPECTRAL, 3, math.nan), "omega_max must be finite"),
+            (oracle.discretize_bath, (WEAK_SPECTRAL, 3, 15.0, 2.5), "fock_dim must be an integer"),
+            (oracle.DiscreteBath, ([1.0, 2.0], [0.1, 0.2], 2.5), "fock_dim must be an integer"),
+            (oracle.DiscreteBath, ([1.0, math.inf], [0.1, 0.2], 3), "must be finite"),
+            (oracle.DiscreteBath, ([1.0, 2.0], [0.1, math.inf], 3), "must be finite"),
+            (oracle.DiscreteBath, ([1.0, 2.0], [math.nan, 0.2], 3), "must be finite"),
+        ],
+    )
+    def test_rejects_non_integer_counts_and_non_finite_modes(self, build, args, match):
+        # a fractional count would be rounded up by np.arange or raised to a
+        # fractional dimension; each stops here, with no floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                build(*args)
+
+    def test_numpy_integer_counts(self):
+        bath = oracle.discretize_bath(WEAK_SPECTRAL, np.int64(3), 15.0, np.int32(4))
+        assert bath.n_modes == 3 and bath.dim_b == 64
+        assert type(bath.fock_dim) is int
+
 
 class TestThermalState:
     def test_ground_state_at_infinite_beta(self):
@@ -257,6 +283,26 @@ def dense_reference(alpha, bath, beta, rho0, times):
         if d - 1 in (n1, n2)
     )
     return states, tail
+
+
+class TestClosedFormAgainstOracle:
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 0.95])
+    def test_any_state_at_converged_truncation(self, alpha, rng):
+        # the closed form from random full-rank states, given the oracle's
+        # own coherence factor z(t) as its rotation and D = |z|: exp(-i E1 t)
+        # with E1 = -1 and t = arg z is z / |z|
+        from .conftest import random_density_matrix
+
+        bath = oracle.discretize_bath(WEAK_SPECTRAL, n_modes=3, fock_dim=40)
+        times = np.linspace(0.1, 5.0, 25)
+        ref0 = oracle.DEFAULT_INITIAL_STATE
+        ref, _ = oracle.brute_force_dynamics(alpha, bath, 0.5, ref0, times)
+        z = oracle.coherence_sx(ref) / oracle.coherence_sx(ref0)
+        for _ in range(4):
+            rho0 = random_density_matrix(rng, 2)
+            states, _ = oracle.brute_force_dynamics(alpha, bath, 0.5, rho0, times)
+            closed = dephasing.evolve_exact_given_d(rho0, -1.0, np.angle(z), np.abs(z))
+            np.testing.assert_allclose(closed, states, rtol=0.0, atol=1e-12)
 
 
 class TestDenseReference:
